@@ -52,6 +52,7 @@ use vnet_apps::bsp::{launch_job, BspApp, BspRunner, SuperStep};
 use vnet_apps::collectives;
 use vnet_bench::{emit_telemetry, f1, f2, init_fidelity_env, quick_mode, with_shards_arg, Table};
 use vnet_core::prelude::*;
+use vnet_sim::telemetry::json::Json;
 use vnet_sim::{Due, RefHeap, SimRng, TimingWheel};
 
 // ------------------------------------------------------------ timer churn
@@ -631,16 +632,6 @@ impl Report {
     }
 }
 
-/// Pull `"key": <number>` out of the committed JSON without a parser
-/// dependency (the file is machine-written by this binary).
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end = rest.find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-')).unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn main() {
     init_fidelity_env();
     let quick = quick_mode();
@@ -651,8 +642,11 @@ fn main() {
     let baseline_speedup = if check {
         let text = std::fs::read_to_string(&json_path)
             .unwrap_or_else(|e| panic!("--check needs committed {}: {e}", json_path.display()));
-        json_number(&text, "speedup_vs_heap")
-            .expect("committed BENCH_engine.json has no speedup_vs_heap")
+        let doc = Json::parse(&text)
+            .unwrap_or_else(|e| panic!("committed {} is not JSON: {e}", json_path.display()));
+        doc.at("workloads.timer_churn.speedup_vs_heap")
+            .and_then(Json::as_f64)
+            .expect("committed BENCH_engine.json has no workloads.timer_churn.speedup_vs_heap")
     } else {
         0.0
     };

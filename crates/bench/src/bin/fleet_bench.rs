@@ -38,6 +38,7 @@ use vnet_apps::collectives;
 use vnet_bench::{f1, quick_mode, Table};
 use vnet_core::prelude::*;
 use vnet_net::TopologySpec;
+use vnet_sim::telemetry::json::Json;
 
 /// Full-fidelity hosts at the tail of a `mixed` row.
 const FULL_TAIL: u32 = 16;
@@ -263,25 +264,6 @@ fn repo_root() -> std::path::PathBuf {
         .to_path_buf()
 }
 
-/// Pull `"key": <number>` out of machine-written JSON without a parser
-/// dependency.
-fn json_number(text: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start();
-    let end =
-        rest.find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-')).unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Pull `"key": "<string>"` out of machine-written JSON.
-fn json_string(text: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\":");
-    let at = text.find(&needle)? + needle.len();
-    let rest = text[at..].trim_start().strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_string())
-}
-
 /// Spawn this binary in `--row` mode for one sweep point and parse the
 /// row it prints (its own process ⇒ its own `VmHWM`).
 fn run_row_child(exe: &std::path::Path, hosts: u32, fidelity: &str, shards: u32, quick: bool) -> Row {
@@ -308,12 +290,13 @@ fn run_row_child(exe: &std::path::Path, hosts: u32, fidelity: &str, shards: u32,
     let json = text.lines().rev().find(|l| l.trim_start().starts_with('{')).unwrap_or_else(|| {
         panic!("row child printed no JSON:\n{text}")
     });
+    let row = Json::parse(json).unwrap_or_else(|e| panic!("row JSON {e}: {json}"));
     let num = |k: &str| {
-        json_number(json, k).unwrap_or_else(|| panic!("row JSON missing {k}: {json}"))
+        row.get(k).and_then(Json::as_f64).unwrap_or_else(|| panic!("row JSON missing {k}: {json}"))
     };
     Row {
         hosts: num("hosts") as u32,
-        fidelity: json_string(json, "fidelity").expect("fidelity"),
+        fidelity: row.get("fidelity").and_then(Json::as_str).expect("fidelity").to_string(),
         shards_requested: num("shards_requested") as u32,
         shards_used: num("shards_used") as u32,
         build_ms: num("build_ms"),
@@ -398,8 +381,11 @@ fn main() {
     let baseline_gate = if check {
         let text = std::fs::read_to_string(&json_path)
             .unwrap_or_else(|e| panic!("--check needs committed {}: {e}", json_path.display()));
-        json_number(&text[text.find("\"gate\"").unwrap_or(0)..], "events_per_sec")
-            .expect("committed BENCH_fleet.json has no gate events_per_sec")
+        let doc = Json::parse(&text)
+            .unwrap_or_else(|e| panic!("committed {} is not JSON: {e}", json_path.display()));
+        doc.at("gate.events_per_sec")
+            .and_then(Json::as_f64)
+            .expect("committed BENCH_fleet.json has no gate.events_per_sec")
     } else {
         0.0
     };

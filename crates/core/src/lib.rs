@@ -91,7 +91,7 @@ pub use control::{
 };
 pub use model::{
     bounded_pareto, zipf_rank, AbsStats, AbstractTraffic, FabricModel, FabricSlot, Fidelity,
-    FidelityMap, HostModel, NicModel, OpenLoopSpec, OPEN_LOOP_HANDLER,
+    FidelityMap, HostModel, NicModel, OpenLoopSpec,
 };
 pub use names::NameService;
 pub use observe::ClusterTelemetry;

@@ -43,7 +43,7 @@
 use crate::world::{Event, HostEnv};
 use std::collections::BTreeMap;
 use vnet_net::{DelayFabric, Fabric, FaultPlan, HostId, NetConfig, Packet, Phase1, Topology};
-use vnet_nic::{EpId, Frame, FrameKind, FramePool, GlobalEp, Nic, NicOut, ProtectionKey, UserMsg};
+use vnet_nic::{EpId, Frame, FrameKind, Nic, NicOut, ProtectionKey, DESCRIPTOR_BYTES};
 use vnet_sim::stats::LogHistogram;
 use vnet_sim::telemetry::{MetricSet, MetricValue, MetricVisitor, MetricsSnapshot};
 use vnet_sim::{Ctx, SimDuration, SimRng, SimTime};
@@ -475,60 +475,29 @@ impl MetricSet for AbsStats {
 pub struct AbstractNic {
     host: HostId,
     seq: u64,
-    /// Recycles delivered message boxes into the next send, so a
-    /// steady-state abstract host allocates O(in-flight) boxes, not
-    /// O(messages). Per-host state: moves wholesale across shard
-    /// splits, invisible to determinism.
-    pool: FramePool,
     /// Traffic counters.
     pub stats: AbsStats,
 }
 
-/// `UserMsg::handler` value marking an open-loop request whose
-/// `args[0]` carries the arrival timestamp (ns) at the source.
-pub const OPEN_LOOP_HANDLER: u16 = 1;
-
-/// Free message boxes an abstract NIC retains for reuse. Bounds pool
-/// memory at ~96 B × 64 per host while covering any realistic
-/// in-flight window on the abstract path.
-const FRAME_POOL_CAP: usize = 64;
-
 impl AbstractNic {
     /// A fresh abstract NIC on `host`.
     pub fn new(host: HostId) -> Self {
-        AbstractNic {
-            host,
-            seq: 0,
-            pool: FramePool::with_capacity(FRAME_POOL_CAP),
-            stats: AbsStats::default(),
-        }
+        AbstractNic { host, seq: 0, stats: AbsStats::default() }
     }
 
-    /// Forge a wire frame carrying `bytes` of payload to `dst`, counting
-    /// it as sent. The frame is well-formed (the fabric charges its real
-    /// wire size; the channel spreads over multipath) but addressed to
-    /// endpoint 0 with the open key — only another abstract NIC may
-    /// receive it.
+    /// Forge a [`FrameKind::Abs`] wire frame standing for `bytes` of
+    /// payload to `dst`, counting it as sent. The frame is well-formed
+    /// (the fabric charges its real wire size; the channel spreads over
+    /// multipath) but addressed to endpoint 0 with the open key — only
+    /// another abstract NIC may receive it.
     pub fn make_packet(&mut self, now: SimTime, dst: HostId, bytes: u32) -> Packet<Frame> {
-        let uid = self.seq + 1;
-        let msg = UserMsg {
-            uid,
-            is_request: false,
-            handler: 0,
-            args: [0; 4],
-            payload_bytes: bytes,
-            src_ep: GlobalEp::new(self.host, EpId(0)),
-            reply_key: ProtectionKey::OPEN,
-            corr: 0,
-        };
-        self.forge(now, dst, msg)
+        self.forge(now, dst, bytes, 0, false)
     }
 
     /// Forge an open-loop request frame: like [`Self::make_packet`] but
-    /// tagged [`OPEN_LOOP_HANDLER`] with the request's arrival instant
-    /// (`stamp_ns`, at the *source*) in `args[0]`, so the receiving
-    /// abstract host can record end-to-end request latency including
-    /// source CPU queueing.
+    /// marked a request carrying its arrival instant (`stamp_ns`, at the
+    /// *source*), so the receiving abstract host can record end-to-end
+    /// request latency including source CPU queueing.
     pub fn make_request(
         &mut self,
         now: SimTime,
@@ -536,27 +505,23 @@ impl AbstractNic {
         bytes: u32,
         stamp_ns: u64,
     ) -> Packet<Frame> {
-        let uid = self.seq + 1;
-        let msg = UserMsg {
-            uid,
-            is_request: true,
-            handler: OPEN_LOOP_HANDLER,
-            args: [stamp_ns, 0, 0, 0],
-            payload_bytes: bytes,
-            src_ep: GlobalEp::new(self.host, EpId(0)),
-            reply_key: ProtectionKey::OPEN,
-            corr: 0,
-        };
-        self.forge(now, dst, msg)
+        self.forge(now, dst, bytes, stamp_ns, true)
     }
 
-    fn forge(&mut self, now: SimTime, dst: HostId, msg: UserMsg) -> Packet<Frame> {
+    fn forge(
+        &mut self,
+        now: SimTime,
+        dst: HostId,
+        payload_bytes: u32,
+        stamp_ns: u64,
+        request: bool,
+    ) -> Packet<Frame> {
         self.seq += 1;
         self.stats.sent += 1;
-        self.stats.sent_bytes += msg.payload_bytes as u64;
-        let wire = msg.wire_bytes();
+        self.stats.sent_bytes += payload_bytes as u64;
+        let wire = DESCRIPTOR_BYTES + payload_bytes;
         let frame = Frame {
-            kind: FrameKind::Data(self.pool.alloc(msg)),
+            kind: FrameKind::Abs { stamp_ns, payload_bytes, request },
             dst_ep: EpId(0),
             key: ProtectionKey::OPEN,
             chan: (self.seq & 3) as u8,
@@ -577,17 +542,13 @@ impl NicModel for AbstractNic {
         corrupt: bool,
         _outs: &mut Vec<NicOut>,
     ) {
-        if !corrupt {
-            self.stats.recvd += 1;
-            if let FrameKind::Data(m) = &frame.kind {
-                self.stats.recv_bytes += m.payload_bytes as u64;
-            }
-        } else {
+        if corrupt {
             self.stats.corrupt_drops += 1;
+            return;
         }
-        // Either way the box is consumed here; offer it for reuse.
-        if let FrameKind::Data(m) = frame.kind {
-            self.pool.recycle(m);
+        self.stats.recvd += 1;
+        if let FrameKind::Abs { payload_bytes, .. } = frame.kind {
+            self.stats.recv_bytes += payload_bytes as u64;
         }
     }
 }
@@ -750,7 +711,7 @@ pub struct AbstractHost {
     /// pointer, not the full spec + stream vector.
     open_loop: Option<Box<OpenLoop>>,
     /// Request latencies observed *as a server* (recorded when an
-    /// [`OPEN_LOOP_HANDLER`] request clears this host's `o_r`). Boxed
+    /// open-loop request clears this host's `o_r`). Boxed
     /// and lazy: 536 B per histogram matters × 16k hosts.
     req_lat: Option<Box<LogHistogram>>,
 }
@@ -901,12 +862,8 @@ impl HostModel for AbstractHost {
             Event::Deliver { src, frame, corrupt, .. } => {
                 let now = ctx.now();
                 // Pull the latency stamp before the frame is consumed.
-                let stamp = match &frame.kind {
-                    FrameKind::Data(m)
-                        if !corrupt && m.is_request && m.handler == OPEN_LOOP_HANDLER =>
-                    {
-                        Some(m.args[0])
-                    }
+                let stamp = match frame.kind {
+                    FrameKind::Abs { stamp_ns, request: true, .. } if !corrupt => Some(stamp_ns),
                     _ => None,
                 };
                 let mut outs = Vec::new();
@@ -1075,19 +1032,70 @@ mod tests {
     }
 
     #[test]
-    fn frame_pool_recycles_on_abstract_path() {
-        let mut tx = AbstractNic::new(HostId(0));
-        let mut rx = AbstractNic::new(HostId(1));
+    fn open_loop_stamp_and_size_survive_the_delay_fabric() {
+        // One 777-byte request from host 0 to host 1 (a 2-host target
+        // space leaves one choice) on an idle CPU: its latency is o_s,
+        // then the fabric's delivery delay, then o_r.
+        let mut c = crate::Cluster::builder()
+            .hosts(2)
+            .default_fidelity(Fidelity::Abstract)
+            .fabric_fidelity(Fidelity::Abstract)
+            .seed(5)
+            .build();
+        c.drive_open_loop(HostId(0), OpenLoopSpec {
+            streams: 1,
+            mean_gap: SimDuration::from_micros(20),
+            requests: 1,
+            zipf_s: 1.0,
+            targets: 2,
+            size_min: 777,
+            size_max: 777,
+            size_alpha: 1.3,
+        });
+        c.run_for(SimDuration::from_millis(1));
+
+        // The same frame forged and timed outside the cluster.
+        let w = c.world();
+        let (o_s, o_r) = (w.cfg.cost.host_send, w.cfg.cost.host_recv);
+        let fab = &w.fabric;
+        let mut delay =
+            DelayFabric::new(fab.config().clone(), fab.topology().clone(), FaultPlan::none(0));
+        let stamp = SimTime::from_nanos(10_000);
+        let on_wire = stamp + o_s;
+        let pkt = AbstractNic::new(HostId(0)).make_request(on_wire, HostId(1), 777, 10_000);
+        assert_eq!(pkt.bytes, DESCRIPTOR_BYTES + 777);
+        let Phase1::Ingress { at, pkt, corrupt: false, .. } = delay.inject_src(on_wire, pkt) else {
+            panic!("a fault-free fabric delivers");
+        };
+        let arrival = at + delay.complete_ingress(at, &pkt);
+        assert_eq!(
+            pkt.payload.kind,
+            FrameKind::Abs { stamp_ns: 10_000, payload_bytes: 777, request: true }
+        );
+
+        let crate::HostSlot::Abstract(server) = w.slot(1) else { panic!("host 1 is abstract") };
+        let served = server.request_latency().expect("request served");
+        assert_eq!(served.count(), 1);
+        let done = arrival + o_r;
+        assert_eq!(served.sum(), (done.as_nanos() - stamp.as_nanos()) as u128);
+        let (tx, rx) = (c.abs_stats(HostId(0)).unwrap(), c.abs_stats(HostId(1)).unwrap());
+        assert_eq!((tx.sent, rx.recvd), (1, 1));
+        assert_eq!(tx.sent_bytes, 777);
+        assert_eq!(rx.recv_bytes, tx.sent_bytes);
+    }
+
+    #[test]
+    #[should_panic(expected = "abstract frame")]
+    fn abstract_frame_at_a_full_nic_fails_loudly() {
+        let pkt = AbstractNic::new(HostId(0)).make_packet(SimTime::ZERO, HostId(1), 64);
+        let mut nic = Nic::new(HostId(1), vnet_nic::NicConfig::virtual_network(), 1);
         let mut outs = Vec::new();
-        for i in 0..100 {
-            let pkt = tx.make_packet(SimTime::ZERO, HostId(1), 64 + i);
-            rx.deliver(SimTime::ZERO, pkt.src, pkt.payload, false, &mut outs);
+        NicModel::deliver(&mut nic, SimTime::ZERO, pkt.src, pkt.payload, false, &mut outs);
+        // The firmware takes the frame up on its next step.
+        while let Some(out) = outs.pop() {
+            if let NicOut::After(d, ev) = out {
+                nic.on_event(SimTime::ZERO + d, ev, &mut outs);
+            }
         }
-        assert_eq!(rx.stats.recvd, 100);
-        assert!(rx.pool.held() >= 1, "delivered boxes return to the receiver pool");
-        // The receiver's next sends reuse those boxes.
-        let before = rx.pool.recycled();
-        let _ = rx.make_packet(SimTime::ZERO, HostId(0), 32);
-        assert_eq!(rx.pool.recycled(), before + 1);
     }
 }

@@ -231,9 +231,10 @@ impl HostEnv<'_> {
                 if self.owns(pkt.dst.0) {
                     ctx.schedule_keyed_at(at, key, Event::Ingress { host: pkt.dst.0, corrupt, pkt });
                 } else {
-                    // Crossing a shard boundary: the frame payload is a
-                    // frozen `Arc`, so the epoch barrier moves a pointer —
-                    // no copy of the message body.
+                    // Crossing a shard boundary: a data frame's payload is
+                    // a frozen `Arc` (an abstract frame has no body), so
+                    // the epoch barrier moves a pointer — no copy of the
+                    // message body.
                     self.outbox.push((at, key, corrupt, pkt));
                 }
             }

@@ -39,7 +39,6 @@ pub mod endpoint;
 pub mod ids;
 pub mod msg;
 pub mod nic;
-pub mod pool;
 pub mod sched;
 pub mod stats;
 pub mod tel;
@@ -52,8 +51,7 @@ pub use endpoint::{EndpointImage, PendingSend};
 pub use ids::{EpId, GlobalEp, ProtectionKey};
 pub use msg::{
     DeliveredMsg, DriverMsg, DriverOp, Frame, FrameKind, NackReason, PollOutcome, PostError,
-    QueueSel, SendRequest, UserMsg,
+    QueueSel, SendRequest, UserMsg, DESCRIPTOR_BYTES,
 };
 pub use nic::{Nic, NicEvent, NicOut};
-pub use pool::FramePool;
 pub use stats::NicStats;

@@ -33,10 +33,14 @@ pub struct UserMsg {
     pub corr: u64,
 }
 
+/// Wire size of a message descriptor (handler, argument words,
+/// addressing): what every data frame carries ahead of its payload.
+pub const DESCRIPTOR_BYTES: u32 = 48;
+
 impl UserMsg {
     /// Wire size of the message body: descriptor words + bulk payload.
     pub fn wire_bytes(&self) -> u32 {
-        48 + self.payload_bytes // 48B descriptor: handler, args, addressing
+        DESCRIPTOR_BYTES + self.payload_bytes
     }
 
     /// Whether the payload must be staged by DMA (anything beyond what the
@@ -88,6 +92,19 @@ pub enum FrameKind {
     ///
     /// [`NicConfig::ack_coalesce`]: crate::config::NicConfig::ack_coalesce
     AckBatch(Vec<AckEntry>),
+    /// Abstract-fidelity traffic: a frame that stands for a message of
+    /// `payload_bytes` (its wire size is [`DESCRIPTOR_BYTES`] more) with
+    /// no [`UserMsg`] body behind it. Only abstract NICs send or accept
+    /// it; a full [`crate::Nic`] that receives one panics.
+    Abs {
+        /// For an open-loop request, the arrival instant (ns) at the
+        /// source, where its latency clock starts; 0 otherwise.
+        stamp_ns: u64,
+        /// Payload bytes the frame stands for.
+        payload_bytes: u32,
+        /// An open-loop request, whose latency the receiver records.
+        request: bool,
+    },
 }
 
 /// One acknowledgment within an [`FrameKind::AckBatch`].

@@ -1105,6 +1105,9 @@ impl Nic {
                 }
                 self.cfg.costs.ack + self.cfg.costs.ack_entry() * (n as u64 - 1)
             }
+            FrameKind::Abs { .. } => {
+                unreachable!("abstract frame from {src} reached full-fidelity host {}", self.host)
+            }
         }
     }
 

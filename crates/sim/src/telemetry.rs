@@ -959,6 +959,12 @@ pub mod json {
             }
         }
 
+        /// Lookup along a dot-separated member path
+        /// (`"gate.events_per_sec"`).
+        pub fn at(&self, path: &str) -> Option<&Json> {
+            path.split('.').try_fold(self, |j, key| j.get(key))
+        }
+
         /// String payload, if this is a string.
         pub fn as_str(&self) -> Option<&str> {
             match self {
@@ -1294,5 +1300,14 @@ mod tests {
         let s = super::json::str("tab\tquote\"nl\n");
         let back = Json::parse(&s).unwrap();
         assert_eq!(back.as_str(), Some("tab\tquote\"nl\n"));
+    }
+
+    #[test]
+    fn json_path_lookup_reads_exponents() {
+        let doc = Json::parse(r#"{"gate": {"events_per_sec": 6.57e6}, "x": 1}"#).unwrap();
+        assert_eq!(doc.at("gate.events_per_sec").and_then(Json::as_f64), Some(6.57e6));
+        assert_eq!(doc.at("x").and_then(Json::as_f64), Some(1.0));
+        assert!(doc.at("gate.missing").is_none());
+        assert!(doc.at("x.y").is_none());
     }
 }

@@ -25,10 +25,15 @@
 //!   true no-op, so nothing accumulates (the old scheduler's
 //!   cancel-after-fire inserted into a `HashSet` forever).
 //! * **Determinism.** Events carry the monotone sequence number assigned
-//!   at schedule time. A level-0 slot holds events of a single
-//!   nanosecond; extraction scans it for the minimum sequence, so
-//!   same-time events still fire in FIFO order, bit-identical to the
-//!   reference heap (see [`RefHeap`] and the differential test).
+//!   at schedule time (or the caller's tie-break key). A level-0 slot
+//!   holds events of a single nanosecond. When the cursor first reaches
+//!   it, the slot is sorted once by sequence, dropping cancelled
+//!   entries, into a drain that pops from its front; events scheduled
+//!   into that nanosecond mid-drain are inserted in order at the next
+//!   pop. Same-time events thus fire in `(time, seq)` order,
+//!   bit-identical to the reference heap (see [`RefHeap`] and the
+//!   differential test), and an n-event same-instant burst costs
+//!   O(n log n) rather than a rescan per pop.
 //!
 //! Cascading is lazy: the cursor jumps straight to the next occupied
 //! slot (per-level 64-bit occupancy bitmaps make that a mask and a
@@ -136,6 +141,13 @@ pub struct TimingWheel<E> {
     free: Vec<u32>,
     /// Reusable scratch for cascading a slot (capacity is retained).
     cascade_buf: Vec<u32>,
+    /// The level-0 slot being drained: `(seq, slab index)` sorted
+    /// ascending, next to pop at `drain_head`. Non-empty only while the
+    /// cursor sits on that slot's nanosecond; its occupancy bit stays set
+    /// until the drain empties.
+    drain: Vec<(u64, u32)>,
+    /// Index of the next entry of `drain` to pop.
+    drain_head: usize,
 }
 
 impl<E> Default for TimingWheel<E> {
@@ -157,6 +169,8 @@ impl<E> TimingWheel<E> {
             slab: Vec::new(),
             free: Vec::new(),
             cascade_buf: Vec::new(),
+            drain: Vec::new(),
+            drain_head: 0,
         }
     }
 
@@ -171,11 +185,12 @@ impl<E> TimingWheel<E> {
     }
 
     /// Retained storage, for leak regression tests:
-    /// `(slab slots, spill heap capacity, summed bucket capacity)`.
-    /// None of these may grow across steady-state fire/cancel cycles.
+    /// `(slab slots, spill heap capacity, summed bucket and drain
+    /// capacity)`. None of these may grow across steady-state
+    /// fire/cancel cycles.
     pub fn capacity_probe(&self) -> (usize, usize, usize) {
-        let buckets = self.slots.iter().map(Vec::capacity).sum();
-        (self.slab.len(), self.spill.capacity(), buckets)
+        let buckets: usize = self.slots.iter().map(Vec::capacity).sum();
+        (self.slab.len(), self.spill.capacity(), buckets + self.drain.capacity())
     }
 
     /// Schedule `ev` at absolute time `at` (clamped up to the cursor, so
@@ -284,9 +299,10 @@ impl<E> TimingWheel<E> {
         if s.generation != id.generation() || s.payload.is_none() {
             return false;
         }
-        // Drop the payload in place; the bucket (or spill) entry that
-        // still references this slot is purged when a scan reaches it,
-        // which also returns the slot to the free list.
+        // Drop the payload in place; the bucket, drain or spill entry
+        // that still references this slot is purged when a pop or
+        // cascade reaches it, which also returns the slot to the free
+        // list.
         s.payload = None;
         s.generation = s.generation.wrapping_add(1);
         self.live -= 1;
@@ -351,6 +367,77 @@ impl<E> TimingWheel<E> {
             }
         }
         self.cascade_buf = buf;
+    }
+
+    /// Take the live entry of level-0 slot `digit` that fires next, or
+    /// `None` if only cancelled entries were left. Clears the slot's
+    /// occupancy bit once it is exhausted.
+    fn next_in_slot(&mut self, digit: usize) -> Option<u32> {
+        let slot = &mut self.slots[digit];
+        if self.drain.is_empty() && slot.len() == 1 {
+            // A lone event, the common case outside bursts, needs no sort.
+            let idx = slot.pop()?;
+            self.occupancy[0] &= !(1 << digit);
+            if self.slab[idx as usize].payload.is_some() {
+                return Some(idx);
+            }
+            self.free.push(idx);
+            return None;
+        }
+        self.fill_drain(digit);
+        // Cancelled entries are dropped as they reach the front.
+        let mut next = None;
+        while let Some(&(_, idx)) = self.drain.get(self.drain_head) {
+            self.drain_head += 1;
+            if self.slab[idx as usize].payload.is_some() {
+                next = Some(idx);
+                break;
+            }
+            self.free.push(idx);
+        }
+        if self.drain_head == self.drain.len() {
+            self.drain.clear();
+            self.drain_head = 0;
+            self.occupancy[0] &= !(1 << digit);
+        }
+        next
+    }
+
+    /// Move level-0 slot `digit`'s entries into the sorted drain. On the
+    /// cursor's first visit the drain is empty and the whole slot is
+    /// sorted once; afterwards the slot holds only events scheduled into
+    /// this nanosecond since the last pop, each inserted in order.
+    fn fill_drain(&mut self, digit: usize) {
+        let mut slot = std::mem::take(&mut self.slots[digit]);
+        if self.drain.is_empty() {
+            for idx in slot.drain(..) {
+                match &self.slab[idx as usize].payload {
+                    Some(p) => self.drain.push((p.seq, idx)),
+                    None => self.free.push(idx),
+                }
+            }
+            self.drain.sort_unstable();
+        } else {
+            // Reverse schedule order, so a run of counter events that all
+            // sort before the remaining keyed ones takes the popped
+            // places in front of the head one by one, without a shift.
+            for idx in slot.drain(..).rev() {
+                let Some(p) = &self.slab[idx as usize].payload else {
+                    self.free.push(idx);
+                    continue;
+                };
+                let e = (p.seq, idx);
+                let head = self.drain_head;
+                let pos = head + self.drain[head..].partition_point(|x| *x < e);
+                if pos == head && head > 0 {
+                    self.drain_head -= 1;
+                    self.drain[pos - 1] = e;
+                } else {
+                    self.drain.insert(pos, e);
+                }
+            }
+        }
+        self.slots[digit] = slot;
     }
 
     /// Remove and return the earliest live event if it is at or before
@@ -422,41 +509,14 @@ impl<E> TimingWheel<E> {
                 continue;
             };
             if level == 0 {
-                // Purge cancelled entries, then extract the minimum
-                // sequence number — FIFO among same-nanosecond events.
-                let slot = &mut self.slots[digit as usize];
-                let mut i = 0;
-                while i < slot.len() {
-                    let idx = slot[i];
-                    if self.slab[idx as usize].payload.is_none() {
-                        slot.swap_remove(i);
-                        self.free.push(idx);
-                    } else {
-                        i += 1;
-                    }
-                }
-                if slot.is_empty() {
-                    self.occupancy[0] &= !(1 << digit);
-                    continue;
-                }
+                // Every live event is at or after this slot's time, so a
+                // slot past the deadline blocks even if it holds only
+                // cancelled entries.
                 let slot_time = (self.cur & !DIGIT_MASK) | digit;
                 if slot_time > deadline {
                     return Due::AfterDeadline;
                 }
-                let mut best = 0;
-                let mut best_seq = u64::MAX;
-                for (i, &idx) in slot.iter().enumerate() {
-                    let Some(p) = self.slab[idx as usize].payload.as_ref() else { continue };
-                    if p.seq < best_seq {
-                        best_seq = p.seq;
-                        best = i;
-                    }
-                }
-                let slot = &mut self.slots[digit as usize];
-                let idx = slot.swap_remove(best);
-                if slot.is_empty() {
-                    self.occupancy[0] &= !(1 << digit);
-                }
+                let Some(idx) = self.next_in_slot(digit as usize) else { continue };
                 let s = &mut self.slab[idx as usize];
                 let Some(payload) = s.payload.take() else { unreachable!() };
                 s.generation = s.generation.wrapping_add(1);
@@ -738,6 +798,37 @@ mod tests {
         assert!(slab <= 4, "slab grew to {slab}");
         assert_eq!(spill, 0, "spill retained {spill} entries");
         assert!(buckets <= 4096, "bucket capacity grew to {buckets}");
+    }
+
+    #[test]
+    fn repeated_bursts_do_not_grow_memory() {
+        // Same-instant bursts into one slot, with schedules at `now`
+        // mid-drain: the drain and the buckets reach their size on the
+        // first burst and must not grow after it.
+        const BURST: u64 = 8192;
+        const K: u64 = 1 << 63;
+        let mut w = TimingWheel::new();
+        let mut first = None;
+        for round in 1..=20 {
+            for i in 0..BURST {
+                w.schedule_keyed(t(1_000), K | i, i);
+            }
+            let mut popped = 0;
+            while let Due::Event { at: now, ev } = w.pop_due(SimTime::MAX) {
+                popped += 1;
+                if ev % 64 == 0 && ev < BURST {
+                    w.schedule(now, BURST + ev);
+                }
+            }
+            assert_eq!(popped, BURST + BURST / 64);
+            let probe = w.capacity_probe();
+            let first = *first.get_or_insert(probe);
+            assert!(probe.0 <= first.0, "round {round}: slab grew {first:?} -> {probe:?}");
+            assert!(probe.2 <= first.2, "round {round}: buckets grew {first:?} -> {probe:?}");
+        }
+        let (slab, spill, _) = w.capacity_probe();
+        assert!(slab <= 2 * BURST as usize, "slab grew to {slab}");
+        assert_eq!(spill, 0);
     }
 
     #[test]

@@ -5,8 +5,11 @@
 //! byte-identical operation log (delivery order, cancel outcomes, drain
 //! boundaries) and the same final clock.
 //!
-//! Cases are generated from [`SimRng`] seeds, so the suite builds offline
-//! with no property-testing dependency.
+//! Workloads mix counter-ordered [`TimingWheel::schedule`] events with
+//! caller-keyed [`TimingWheel::schedule_keyed`] ones, and one case drains
+//! a large same-nanosecond burst while scheduling into it and cancelling
+//! its members. Cases are generated from [`SimRng`] seeds, so the suite
+//! builds offline with no property-testing dependency.
 
 use std::fmt::Write as _;
 use vnet_sim::{Due, RefHeap, SimRng, SimTime, TimingWheel};
@@ -16,6 +19,7 @@ use vnet_sim::{Due, RefHeap, SimRng, SimTime, TimingWheel};
 trait Queue {
     type Id: Copy;
     fn schedule(&mut self, at: SimTime, ev: u64) -> Self::Id;
+    fn schedule_keyed(&mut self, at: SimTime, key: u64, ev: u64) -> Self::Id;
     fn cancel(&mut self, id: Self::Id) -> bool;
     fn pop_due(&mut self, deadline: SimTime) -> Due<u64>;
     fn len(&self) -> usize;
@@ -25,6 +29,9 @@ impl Queue for TimingWheel<u64> {
     type Id = vnet_sim::EventId;
     fn schedule(&mut self, at: SimTime, ev: u64) -> Self::Id {
         TimingWheel::schedule(self, at, ev)
+    }
+    fn schedule_keyed(&mut self, at: SimTime, key: u64, ev: u64) -> Self::Id {
+        TimingWheel::schedule_keyed(self, at, key, ev)
     }
     fn cancel(&mut self, id: Self::Id) -> bool {
         TimingWheel::cancel(self, id)
@@ -41,6 +48,9 @@ impl Queue for RefHeap<u64> {
     type Id = u64;
     fn schedule(&mut self, at: SimTime, ev: u64) -> Self::Id {
         RefHeap::schedule(self, at, ev)
+    }
+    fn schedule_keyed(&mut self, at: SimTime, key: u64, ev: u64) -> Self::Id {
+        RefHeap::schedule_keyed(self, at, key, ev)
     }
     fn cancel(&mut self, id: Self::Id) -> bool {
         RefHeap::cancel(self, id)
@@ -66,6 +76,19 @@ fn delay(rng: &mut SimRng) -> u64 {
     }
 }
 
+/// Schedule event `ev` at `at`: counter-ordered, or (one time in three)
+/// under a key. Keys follow the engine's convention (bit 63 set) and are
+/// unique through `ev` in the low bits, while the random middle bits put
+/// keyed events at one nanosecond in an order unrelated to scheduling.
+fn schedule_mixed<Q: Queue>(q: &mut Q, rng: &mut SimRng, at: u64, ev: u64) -> Q::Id {
+    let at = SimTime::from_nanos(at);
+    if rng.below(3) == 0 {
+        q.schedule_keyed(at, (1 << 63) | (rng.below(1 << 20) << 24) | ev, ev)
+    } else {
+        q.schedule(at, ev)
+    }
+}
+
 /// Replay one seeded workload, mirroring the engine's `run_until` clock
 /// rules: fired events advance `now` to their timestamp; `AfterDeadline`
 /// and `Empty` (under a finite deadline) advance it to the deadline; a
@@ -80,7 +103,7 @@ fn drive<Q: Queue>(q: &mut Q, seed: u64) -> (String, u64) {
     for round in 0..200 {
         for _ in 0..rng.index(8) {
             let at = now + delay(&mut rng);
-            ids.push(q.schedule(SimTime::from_nanos(at), next_ev));
+            ids.push(schedule_mixed(q, &mut rng, at, next_ev));
             next_ev += 1;
         }
         // Cancels target any ever-issued id, so most rounds also exercise
@@ -169,5 +192,73 @@ fn wheel_matches_reference_heap_under_tie_pressure() {
             writeln!(log_h, "{} {}", at.as_nanos(), ev).unwrap();
         }
         assert_eq!(log_w, log_h, "case {case}: tie-breaking diverged");
+    }
+}
+
+/// A same-nanosecond burst of 8,192 mixed counter and keyed events,
+/// drained while each pop may schedule more events at `now` (counter or
+/// keyed), schedule just after it, cancel a random earlier id (often a
+/// burst member that has not popped yet), or probe a deadline just
+/// before `now`. Returns the op log.
+fn burst<Q: Queue>(q: &mut Q, seed: u64) -> String {
+    const BURST: u64 = 8192;
+    let mut rng = SimRng::seed_from_u64(seed);
+    let t0 = 1 + rng.below(1 << 20);
+    let mut ids: Vec<Q::Id> = Vec::new();
+    let mut next_ev = 0u64;
+    let mut log = String::new();
+    // A few events before the burst, so its slot is reached mid-run.
+    for _ in 0..8 {
+        let at = rng.below(t0);
+        ids.push(schedule_mixed(q, &mut rng, at, next_ev));
+        next_ev += 1;
+    }
+    for _ in 0..BURST {
+        ids.push(schedule_mixed(q, &mut rng, t0, next_ev));
+        next_ev += 1;
+    }
+    loop {
+        match q.pop_due(SimTime::MAX) {
+            Due::Event { at, ev } => {
+                let now = at.as_nanos();
+                writeln!(log, "F {now} {ev}").unwrap();
+                if next_ev < 3 * BURST {
+                    for _ in 0..rng.index(3) {
+                        let at = if rng.chance(0.8) { now } else { now + 1 };
+                        ids.push(schedule_mixed(q, &mut rng, at, next_ev));
+                        next_ev += 1;
+                    }
+                }
+                if rng.chance(0.3) {
+                    let i = rng.index(ids.len());
+                    writeln!(log, "C{}", u8::from(q.cancel(ids[i]))).unwrap();
+                }
+                if rng.chance(0.05) {
+                    let d = q.pop_due(SimTime::from_nanos(now - 1));
+                    writeln!(log, "A{}", u8::from(matches!(d, Due::AfterDeadline))).unwrap();
+                }
+            }
+            Due::AfterDeadline => unreachable!("deadline is infinite"),
+            Due::Empty => break,
+        }
+    }
+    writeln!(log, "len={} scheduled={next_ev}", q.len()).unwrap();
+    log
+}
+
+#[test]
+fn wheel_matches_reference_heap_on_a_same_instant_burst() {
+    for case in 0..4u64 {
+        let seed = 0xB0B5 + case;
+        let wheel_log = burst(&mut TimingWheel::new(), seed);
+        let heap_log = burst(&mut RefHeap::new(), seed);
+        if wheel_log != heap_log {
+            let line = wheel_log
+                .lines()
+                .zip(heap_log.lines())
+                .enumerate()
+                .find(|(_, (w, h))| w != h);
+            panic!("case {case}: burst logs diverge at {line:?} (wheel vs heap)");
+        }
     }
 }
