@@ -236,7 +236,7 @@ fn run_plan(plan: &Plan) -> RunOut {
     }
     c.check_recovery(SimDuration::from_millis(20));
     c.check_reconverged(SimDuration::from_millis(15));
-    c.auditor().borrow_mut().check_tenant_quota();
+    c.check_tenant_quota();
     if let Err(report) = c.audit() {
         panic!("campaign '{}' violated an invariant:\n{report}", plan.name);
     }

@@ -84,10 +84,10 @@ fn run_outage(outage_ms: u64) -> (u32, u32, u64, f64) {
     let t = c.spawn_thread(HostId(0), Box::new(Client { ep: a.ep, total, sent: 0, replies: 0, bounces: 0 }));
     // Let the stream establish, then cut the server's receive link.
     c.run_for(SimDuration::from_millis(2));
-    let down = c.world().fabric.topology().host_down_link(HostId(1));
-    c.world_mut().fabric.faults_mut().link_down(down);
+    let down = c.world_of(HostId(1)).fabric.topology().host_down_link(HostId(1));
+    c.set_link_up(down, false);
     c.run_for(SimDuration::from_millis(outage_ms));
-    c.world_mut().fabric.faults_mut().link_up(down);
+    c.set_link_up(down, true);
     c.run_until(SimTime::ZERO + SimDuration::from_secs(120));
     let cl: &Client = c.body(HostId(0), t).expect("client");
     let retx = c.telemetry().snapshot().counter("host0.nic.retransmits");

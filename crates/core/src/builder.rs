@@ -250,6 +250,7 @@ impl ClusterBuilder {
 mod tests {
     use super::*;
     use crate::config::Mode;
+    use vnet_net::HostId;
 
     #[test]
     fn builder_resolves_presets_and_overrides() {
@@ -281,14 +282,14 @@ mod tests {
             .hosts(2)
             .tweak(|cfg| cfg.net.link_mb_s = 320.0)
             .build();
-        assert_eq!(c.world().cfg.mode, Mode::Gam);
+        assert_eq!(c.world_of(HostId(0)).cfg.mode, Mode::Gam);
         assert!(!c.telemetry().enabled());
     }
 
     #[test]
     fn builder_tracing_enables_ring() {
         let c = Cluster::builder().tracing(true).build();
-        assert!(c.world().trace.borrow().is_enabled());
+        assert!(c.world_of(HostId(0)).trace.borrow().is_enabled());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use crate::builder::ClusterBuilder;
 use crate::config::ClusterConfig;
-use crate::control::{ControlPlane, ControlSpec, CtlOp, MigState, QuotaError};
+use crate::control::{ControlPlane, ControlSpec, CtlOp, QuotaError};
 use crate::model::{AbsEvent, AbsStats, AbstractTraffic, Fidelity, OpenLoopSpec};
 use crate::names::NameService;
 use crate::observe::ClusterTelemetry;
@@ -11,37 +11,31 @@ use crate::sys::ThreadBody;
 use crate::user::EpQuota;
 use crate::world::{ctl_key, Event, HostSlot, World};
 use std::cell::Cell;
-use vnet_net::{FaultOp, HostId, Packet, Partition, Phase1};
+use std::sync::Arc;
+use vnet_net::{FaultOp, HostId, LinkId, Packet, Partition, Phase1, RouteOracle, Topology};
 use vnet_nic::{EpId, Frame, GlobalEp, Nic, NicOut, ProtectionKey};
 use vnet_os::{OsOut, Scheduler, SegmentDriver, Tid};
 use vnet_sim::stats::LogHistogram;
 use vnet_sim::{
-    run_conservative, AuditHandle, Engine, PairLookahead, ParShard, SendCell, SimDuration,
-    SimTime, INGRESS_KEY_BIT,
+    run_conservative, Auditor, Engine, PairLookahead, ParShard, SendCell, SimDuration, SimRng,
+    SimTime, TraceRing, INGRESS_KEY_BIT,
 };
 
-/// Parallel-execution state, present when the configuration asks for more
-/// than one shard: the stable host partition, the per-shard-pair lookahead
-/// derived from it (sliced by fault-campaign interval), plus one
-/// *persistent* engine per shard. Engines persist across runs because
-/// events already in a shard's wheel may share `Rc` state with that
-/// shard's hosts; the partition never changes, so each host always returns
-/// to the engine holding its pending events.
-struct Par {
-    part: Partition,
-    look: PairLookahead,
-    engines: Vec<Engine<World>>,
-}
-
-/// One worker shard while a parallel run is in flight: the shard's
-/// persistent engine plus the world slice owning its hosts.
-struct ShardRun {
+/// One executor shard: a world owning a contiguous range of hosts for
+/// the cluster's whole lifetime, married to the engine holding its
+/// pending events (which may share `Rc` state with its hosts).
+struct Shard {
     engine: Engine<World>,
     world: World,
-    part: Partition,
 }
 
-impl ParShard for ShardRun {
+/// A shard lent to the conservative executor for one run.
+struct ShardRun<'a> {
+    shard: &'a mut Shard,
+    part: &'a Partition,
+}
+
+impl ParShard for ShardRun<'_> {
     // A cross-shard packet: `(canonical ingress key, corrupt, packet)`.
     // Genuinely `Send`: the wire frame's payload is a frozen `Arc`, so
     // crossing the shard boundary moves a pointer, never a copy of the
@@ -49,42 +43,55 @@ impl ParShard for ShardRun {
     type Mail = (u64, bool, Packet<Frame>);
 
     fn run_until(&mut self, deadline: SimTime) {
-        self.engine.run_until(&mut self.world, deadline);
+        let Shard { engine, world } = &mut *self.shard;
+        engine.run_until(world, deadline);
     }
 
     fn next_at_bound(&self) -> Option<SimTime> {
-        self.engine.next_at_bound()
+        self.shard.engine.next_at_bound()
     }
 
     fn drain_outbox(&mut self, out: &mut Vec<(usize, SimTime, Self::Mail)>) {
-        for (at, key, corrupt, pkt) in self.world.outbox.drain(..) {
+        for (at, key, corrupt, pkt) in self.shard.world.outbox.drain(..) {
             let dst = self.part.shard_of(pkt.dst.0) as usize;
             out.push((dst, at, (key, corrupt, pkt)));
         }
     }
 
     fn ingest(&mut self, at: SimTime, (key, corrupt, pkt): Self::Mail) {
-        self.engine.schedule_keyed_at(at, key, Event::Ingress { host: pkt.dst.0, corrupt, pkt });
+        let ev = Event::Ingress { host: pkt.dst.0, corrupt, pkt };
+        self.shard.engine.schedule_keyed_at(at, key, ev);
     }
 
     fn last_event_at(&self) -> Option<SimTime> {
-        self.engine.last_event_at()
+        self.shard.engine.last_event_at()
     }
 
     fn now(&self) -> SimTime {
-        self.engine.now()
+        self.shard.engine.now()
     }
 
     fn sync_now(&mut self, t: SimTime) {
-        self.engine.sync_now(t);
+        self.shard.engine.sync_now(t);
     }
 }
 
-/// A complete simulated cluster: engine + composed world.
+/// A complete simulated cluster: one persistent `(engine, world)` shard
+/// per partition range, run by the conservative executor.
 pub struct Cluster {
-    engine: Engine<World>,
-    world: World,
-    par: Option<Par>,
+    /// Built once in [`Cluster::new`] and never split or merged; a
+    /// one-shard cluster takes the same executor path (no thread, no
+    /// barrier). Every shard engine sits at the same clock between runs.
+    shards: Vec<Shard>,
+    /// The stable host partition behind `shards`.
+    part: Partition,
+    /// Per-shard-pair lookahead derived from the partition (sliced by
+    /// fault-campaign interval).
+    look: PairLookahead,
+    /// The cluster's one protection-key stream: keys are drawn in endpoint
+    /// creation order across all hosts, so they never depend on the shard
+    /// count.
+    key_rng: SimRng,
     names: NameService,
     /// Run [`Cluster::audit`] automatically at every `run_for` /
     /// `run_until` / `settle` boundary in debug builds, panicking on the
@@ -108,27 +115,31 @@ pub struct Cluster {
 impl Cluster {
     /// Build a cluster from configuration.
     pub fn new(cfg: ClusterConfig) -> Self {
-        let world = World::new(cfg);
-        let topo = world.fabric.topology();
-        let part = Partition::plan(topo, &world.cfg.net, world.cfg.shards);
+        let topo = Topology::build(cfg.topology.clone());
+        let part = Partition::plan(&topo, &cfg.net, cfg.shards);
         // Compile the fault campaign once; it both becomes engine events
         // and slices the per-pair lookahead into validity intervals (a
         // scheduled LinkUp can lower a pair's latency floor).
-        let ops = if world.cfg.faults.is_empty() {
-            Vec::new()
-        } else {
-            world.cfg.faults.compile(topo)
-        };
-        let look = part.pair_lookahead(topo, &world.cfg.net, &ops);
-        let par = (part.shards() > 1).then(|| Par {
-            engines: (0..part.shards()).map(|_| Engine::new()).collect(),
+        let ops = if cfg.faults.is_empty() { Vec::new() } else { cfg.faults.compile(&topo) };
+        let look = part.pair_lookahead(&topo, &cfg.net, &ops);
+        // The route oracle is the NICs' read-only view of the *scheduled*
+        // campaign (administrative hot-swaps stay invisible to it). Built
+        // once, shared by every NIC on every shard.
+        let oracle = (!cfg.faults.is_empty())
+            .then(|| Arc::new(RouteOracle::new(topo.clone(), &cfg.faults)));
+        let key_rng = SimRng::seed_from_u64(cfg.seed).derive(0x4B45_5953);
+        let shards = std::iter::repeat_n(cfg, part.shards() as usize)
+            .zip(0..)
+            .map(|(cfg, s)| Shard {
+                engine: Engine::new(),
+                world: World::new(cfg, topo.clone(), oracle.clone(), part.range(s)),
+            })
+            .collect();
+        let mut c = Cluster {
+            shards,
             part,
             look,
-        });
-        let mut c = Cluster {
-            engine: Engine::new(),
-            world,
-            par,
+            key_rng,
             names: NameService::new(),
             debug_audit: Cell::new(true),
             fault_horizon: SimTime::ZERO,
@@ -149,7 +160,7 @@ impl Cluster {
             return;
         }
         self.fault_horizon = ops.last().map_or(SimTime::ZERO, |&(t, _)| t);
-        let hosts = self.world.hosts() as u32;
+        let hosts = self.hosts() as u32;
         for (i, (at, op)) in ops.into_iter().enumerate() {
             for host in 0..hosts {
                 let key = (1 << 63) | (1 << 62) | ((i as u64) << 20) | host as u64;
@@ -168,17 +179,40 @@ impl Cluster {
     /// Check the bounded time-to-recovery invariant: every message posted
     /// to the delivery ledger must have reached a terminal fate (acked,
     /// returned to sender, or dropped pre-binding) by the fault horizon
-    /// plus `bound`. Call after the run; violations land in the auditor
-    /// and surface through [`Cluster::audit`]. A no-op while `now` is
-    /// still inside the grace window.
+    /// plus `bound`. Call after the run; violations persist and surface
+    /// through [`Cluster::audit`]. A no-op while `now` is still inside
+    /// the grace window.
     pub fn check_recovery(&self, bound: SimDuration) {
-        self.world.auditor.borrow_mut().check_recovery(self.now(), self.fault_horizon, bound);
+        let (now, horizon) = (self.now(), self.fault_horizon);
+        self.check_fold(|a| a.check_recovery(now, horizon, bound));
+    }
+
+    /// Check per-tenant byte-quota conservation over the whole cluster:
+    /// in every epoch, the bytes admitted for a tenant (summed across
+    /// shards) stay within its declared allowance. Call after the run;
+    /// violations persist and surface through [`Cluster::audit`].
+    pub fn check_tenant_quota(&self) {
+        self.check_fold(Auditor::check_tenant_quota);
+    }
+
+    /// Run a cluster-wide check on the folded auditor and keep what it
+    /// finds: the new violations are recorded in the first shard's
+    /// auditor, so every later fold reports them.
+    fn check_fold(&self, check: impl FnOnce(&mut Auditor)) {
+        let mut fold = self.auditor();
+        let (kept, total) = (fold.violations().len(), fold.total_violations());
+        check(&mut fold);
+        self.shards[0]
+            .world
+            .auditor
+            .borrow_mut()
+            .record_found(&fold.violations()[kept..], fold.total_violations() - total);
     }
 
     /// Number of worker shards the cluster actually runs with (after
     /// clamping the configured count to what the topology supports).
     pub fn shards(&self) -> u32 {
-        self.par.as_ref().map_or(1, |p| p.part.shards())
+        self.part.shards()
     }
 
     /// Fluent construction: `Cluster::builder().hosts(32).telemetry(true)
@@ -195,49 +229,61 @@ impl Cluster {
         ClusterTelemetry::new(self)
     }
 
-    /// Current simulated time.
+    /// Current simulated time (every shard engine agrees between runs).
     pub fn now(&self) -> SimTime {
-        self.engine.now()
+        self.shards[0].engine.now()
     }
 
-    /// Total events processed (summed over every shard engine when the
-    /// parallel executor is active).
+    /// Total events processed, summed over every shard engine.
     pub fn events_processed(&self) -> u64 {
-        let par: u64 = self
-            .par
-            .iter()
-            .flat_map(|p| p.engines.iter())
-            .map(|e| e.events_processed())
-            .sum();
-        self.engine.events_processed() + par
+        self.shards.iter().map(|s| s.engine.events_processed()).sum()
     }
 
     /// Events still queued across every engine.
     fn queue_len(&self) -> usize {
-        let par: usize =
-            self.par.iter().flat_map(|p| p.engines.iter()).map(|e| e.queue_len()).sum();
-        self.engine.queue_len() + par
+        self.shards.iter().map(|s| s.engine.queue_len()).sum()
     }
 
     /// Number of hosts.
     pub fn hosts(&self) -> usize {
-        self.world.hosts()
+        self.part.range(self.part.shards() - 1).1 as usize
     }
 
-    /// The composed world (full component access for instrumentation).
-    pub fn world(&self) -> &World {
-        &self.world
+    /// Every shard world, in host order.
+    pub(crate) fn worlds(&self) -> impl Iterator<Item = &World> {
+        self.shards.iter().map(|s| &s.world)
     }
 
-    /// Mutable world access (fault injection, pageout control).
-    pub fn world_mut(&mut self) -> &mut World {
-        &mut self.world
+    fn shard_of(&self, host: u32) -> usize {
+        self.part.shard_of(host) as usize
     }
 
-    /// Handle on the cluster-wide invariant auditor (counters, message
-    /// fates, raw violation records).
-    pub fn auditor(&self) -> AuditHandle {
-        self.world.auditor.clone()
+    /// The shard world owning `host` (full component access for
+    /// instrumentation). Its host accessors take global host ids.
+    pub fn world_of(&self, host: HostId) -> &World {
+        &self.shards[self.shard_of(host.0)].world
+    }
+
+    /// Mutable access to the shard world owning `host` (pageout control,
+    /// direct component pokes).
+    pub fn world_of_mut(&mut self, host: HostId) -> &mut World {
+        let s = self.shard_of(host.0);
+        &mut self.shards[s].world
+    }
+
+    /// The cluster-wide invariant auditor (counters, message fates, raw
+    /// violation records): every shard's auditor folded on demand (see
+    /// [`Auditor::fold`]), plus whatever the cluster-wide checks found.
+    pub fn auditor(&self) -> Auditor {
+        let shards: Vec<_> = self.shards.iter().map(|s| s.world.auditor.borrow()).collect();
+        Auditor::fold(shards.iter().map(|a| &**a))
+    }
+
+    /// The cluster-wide causal trace: every shard's ring folded in the
+    /// canonical `(time, host)` order (see [`TraceRing::merged`]).
+    pub(crate) fn trace(&self) -> TraceRing {
+        let rings: Vec<_> = self.shards.iter().map(|s| s.world.trace.borrow()).collect();
+        TraceRing::merged(rings.iter().map(|r| &**r))
     }
 
     pub(crate) fn set_debug_audit_flag(&self, on: bool) {
@@ -253,10 +299,10 @@ impl Cluster {
     /// number of resident endpoints on each NIC can never exceed its frame
     /// count.
     pub fn audit(&self) -> Result<(), String> {
-        let a = self.world.auditor.borrow();
+        use std::fmt::Write;
+        let a = self.auditor();
         let mut report = String::new();
         if a.has_violations() {
-            use std::fmt::Write;
             let _ = writeln!(
                 report,
                 "invariant audit failed: {} violation(s) (showing {}):",
@@ -267,24 +313,25 @@ impl Cluster {
                 let _ = writeln!(report, "  {v}");
             }
         }
-        for h in 0..self.world.hosts() {
-            // Live checks apply to full-fidelity hosts only; abstract
-            // hosts have no NIC residency machine to violate.
-            let Some(nic) = self.world.try_nic(h) else { continue };
-            let frames = nic.config().frames;
-            let resident = nic.resident_count();
-            if resident > frames as usize {
-                use std::fmt::Write;
-                let _ = writeln!(
-                    report,
-                    "live check failed: h{h} has {resident} resident endpoints in {frames} frames"
-                );
+        for w in self.worlds() {
+            for h in w.host_ids() {
+                // Live checks apply to full-fidelity hosts only; abstract
+                // hosts have no NIC residency machine to violate.
+                let Some(nic) = w.try_nic(h) else { continue };
+                let frames = nic.config().frames;
+                let resident = nic.resident_count();
+                if resident > frames as usize {
+                    let _ = writeln!(
+                        report,
+                        "live check failed: h{h} has {resident} resident endpoints in {frames} frames"
+                    );
+                }
             }
         }
         if report.is_empty() {
             return Ok(());
         }
-        let trace = self.world.trace.borrow();
+        let trace = self.trace();
         if trace.is_enabled() {
             report.push_str("trace (most recent last):\n");
             report.push_str(&trace.to_text());
@@ -306,29 +353,29 @@ impl Cluster {
 
     /// The NIC of `host` (panics on an abstract-fidelity host).
     pub fn nic(&self, host: HostId) -> &Nic {
-        self.world.nic(host.idx())
+        self.world_of(host).nic(host.idx())
     }
 
     /// The segment driver of `host` (panics on an abstract-fidelity host).
     pub fn os(&self, host: HostId) -> &SegmentDriver {
-        self.world.os(host.idx())
+        self.world_of(host).os(host.idx())
     }
 
     /// The thread scheduler of `host` (panics on an abstract-fidelity
     /// host).
     pub fn sched(&self, host: HostId) -> &Scheduler {
-        self.world.sched(host.idx())
+        self.world_of(host).sched(host.idx())
     }
 
     /// The fidelity class of `host`.
     pub fn fidelity_of(&self, host: HostId) -> Fidelity {
-        self.world.fidelity_of(host.idx())
+        self.world_of(host).fidelity_of(host.idx())
     }
 
     /// Coarse traffic counters of an abstract host (`None` for
     /// full-fidelity hosts — read their NIC/OS stats instead).
     pub fn abs_stats(&self, host: HostId) -> Option<AbsStats> {
-        self.world.abs_stats(host.idx()).copied()
+        self.world_of(host).abs_stats(host.idx()).copied()
     }
 
     /// Install a synthetic traffic pattern on an abstract host and start
@@ -340,20 +387,20 @@ impl Cluster {
     /// abstract frames reserve links exactly like real ones.
     pub fn drive_abstract(&mut self, host: HostId, traffic: AbstractTraffic) {
         assert_eq!(
-            self.world.fidelity_of(host.idx()),
+            self.fidelity_of(host),
             Fidelity::Abstract,
             "drive_abstract: {host} is full-fidelity; spawn threads instead"
         );
-        for p in &traffic.peers {
+        for &p in &traffic.peers {
             assert_eq!(
-                self.world.fidelity_of(p.idx()),
+                self.fidelity_of(p),
                 Fidelity::Abstract,
                 "drive_abstract: peer {p} of {host} is full-fidelity; abstract \
                  traffic may only target abstract hosts"
             );
         }
         assert!(!traffic.peers.is_empty(), "drive_abstract: no peers");
-        self.world
+        self.world_of_mut(host)
             .abstract_host_mut(host.idx())
             .expect("fidelity checked above")
             .set_traffic(traffic);
@@ -370,20 +417,22 @@ impl Cluster {
     /// frames only another abstract NIC may receive.
     pub fn drive_open_loop(&mut self, host: HostId, spec: OpenLoopSpec) {
         assert_eq!(
-            self.world.fidelity_of(host.idx()),
+            self.fidelity_of(host),
             Fidelity::Abstract,
             "drive_open_loop: {host} is full-fidelity; spawn threads instead"
         );
         assert!(
-            spec.targets as usize <= self.world.hosts(),
+            spec.targets as usize <= self.hosts(),
             "drive_open_loop: target space [0, {}) exceeds the {}-host cluster",
             spec.targets,
-            self.world.hosts()
+            self.hosts()
         );
         let abs_prefix = self.abs_prefix.get().unwrap_or_else(|| {
-            let p = (0..self.world.hosts())
-                .position(|h| self.world.fidelity_of(h) != Fidelity::Abstract)
-                .unwrap_or(self.world.hosts()) as u32;
+            let p = self
+                .worlds()
+                .flat_map(|w| w.host_ids().map(move |h| w.fidelity_of(h)))
+                .position(|f| f != Fidelity::Abstract)
+                .unwrap_or(self.hosts()) as u32;
             self.abs_prefix.set(Some(p));
             p
         });
@@ -393,7 +442,7 @@ impl Cluster {
              requests may only target abstract hosts"
         );
         let delays = self
-            .world
+            .world_of_mut(host)
             .abstract_host_mut(host.idx())
             .expect("fidelity checked above")
             .start_open_loop(spec);
@@ -405,14 +454,19 @@ impl Cluster {
         }
     }
 
+    /// Every host slot in host order, across shards.
+    fn slots(&self) -> impl Iterator<Item = &HostSlot> {
+        self.worlds().flat_map(|w| w.host_ids().map(move |h| w.slot(h)))
+    }
+
     /// Fold every abstract host's served-request latency histogram into
     /// one cluster-wide [`LogHistogram`] (arrival at the source → `o_r`
     /// cleared at the server). Host-order accumulation of a commutative
     /// merge: byte-identical for any shard count or epoch driver.
     pub fn open_loop_latency(&self) -> LogHistogram {
         let mut all = LogHistogram::default();
-        for h in 0..self.world.hosts() {
-            if let HostSlot::Abstract(a) = self.world.slot(h) {
+        for slot in self.slots() {
+            if let HostSlot::Abstract(a) = slot {
                 if let Some(l) = a.request_latency() {
                     all.absorb(l);
                 }
@@ -424,12 +478,18 @@ impl Cluster {
     /// Open-loop requests not yet emitted, summed across hosts (zero
     /// once every driven population has drained).
     pub fn open_loop_remaining(&self) -> u64 {
-        (0..self.world.hosts())
-            .map(|h| match self.world.slot(h) {
+        self.slots()
+            .map(|slot| match slot {
                 HostSlot::Abstract(a) => a.open_loop_remaining(),
                 HostSlot::Full(_) => 0,
             })
             .sum()
+    }
+
+    /// Total sends denied by tenant byte quotas, summed over every shard
+    /// (the noisy-neighbor signal, `ctl.quota_denials` in snapshots).
+    pub fn quota_denials(&self) -> u64 {
+        self.worlds().map(World::quota_denials).sum()
     }
 
     // ------------------------------------------------------------- setup
@@ -437,10 +497,20 @@ impl Cluster {
     /// Allocate an endpoint on `host` (registers with the NIC; starts
     /// non-resident in the on-host r/o state).
     pub fn create_endpoint(&mut self, host: HostId) -> GlobalEp {
-        let now = self.engine.now();
-        let (gep, outs) = self.world.create_endpoint_raw(now, host.idx());
+        let now = self.now();
+        let key = ProtectionKey(self.key_rng.below(u64::MAX - 1) + 1);
+        let (gep, outs) = self.world_of_mut(host).create_endpoint_raw(now, host.idx(), key);
+        self.insert_key(gep, key);
         self.apply_os_ext(host.idx(), outs);
         gep
+    }
+
+    /// Publish `gep`'s protection key to every shard world (remote
+    /// senders look it up when they install a translation).
+    fn insert_key(&mut self, gep: GlobalEp, key: ProtectionKey) {
+        for s in &mut self.shards {
+            s.world.keys.insert(gep, key);
+        }
     }
 
     /// Register an endpoint under a well-known name (§3.1 rendezvous:
@@ -468,8 +538,9 @@ impl Cluster {
 
     /// Install translation `idx → dst` (with dst's key) on endpoint `from`.
     pub fn connect(&mut self, from: GlobalEp, idx: usize, dst: GlobalEp) {
-        let key = self.world.keys.get(&dst).copied().unwrap_or_default();
-        self.world.user_entry(from.host.idx(), from.ep).set_translation(idx, dst, key);
+        let w = self.world_of_mut(from.host);
+        let key = w.keys.get(&dst).copied().unwrap_or_default();
+        w.user_entry(from.host.idx(), from.ep).set_translation(idx, dst, key);
     }
 
     /// Build a virtual network over `eps` (§3.1): every endpoint gets a
@@ -491,21 +562,25 @@ impl Cluster {
     /// resident) and unregisters it; late messages addressed to it return
     /// to their senders as undeliverable.
     pub fn destroy_endpoint(&mut self, ep: GlobalEp) {
-        let now = self.engine.now();
+        let now = self.now();
         let h = ep.host.idx();
         let mut outs = Vec::new();
-        self.world.os_mut(h).free_endpoint(now, ep.ep, &mut outs);
-        self.world.keys.remove(&ep);
-        self.world.user_remove(h, ep.ep);
-        self.world.auditor.borrow_mut().on_endpoint_destroyed(ep.host.0, ep.ep.0);
+        let w = self.world_of_mut(ep.host);
+        w.os_mut(h).free_endpoint(now, ep.ep, &mut outs);
+        w.user_remove(h, ep.ep);
+        w.auditor.borrow_mut().on_endpoint_destroyed(ep.host.0, ep.ep.0);
+        for s in &mut self.shards {
+            s.world.keys.remove(&ep);
+        }
         self.apply_os_ext(h, outs);
     }
 
     /// Spawn an application thread on `host`. Returns its id (per-host).
     pub fn spawn_thread(&mut self, host: HostId, body: Box<dyn ThreadBody>) -> Tid {
-        let tid = self.world.spawn_thread_raw(host.idx(), body);
-        let now = self.engine.now();
-        if let Some((d, ev)) = self.world.prep_cpu_kick(host.idx(), now) {
+        let now = self.now();
+        let w = self.world_of_mut(host);
+        let tid = w.spawn_thread_raw(host.idx(), body);
+        if let Some((d, ev)) = w.prep_cpu_kick(host.idx(), now) {
             self.sched_ev(d, ev);
         }
         tid
@@ -513,12 +588,12 @@ impl Cluster {
 
     /// Downcast access to a thread body (results extraction after a run).
     pub fn body<T: ThreadBody>(&self, host: HostId, tid: Tid) -> Option<&T> {
-        self.world.body::<T>(host.idx(), tid)
+        self.world_of(host).body::<T>(host.idx(), tid)
     }
 
     /// Mutable downcast access to a thread body.
     pub fn body_mut<T: ThreadBody>(&mut self, host: HostId, tid: Tid) -> Option<&mut T> {
-        self.world.body_mut::<T>(host.idx(), tid)
+        self.world_of_mut(host).body_mut::<T>(host.idx(), tid)
     }
 
     // --------------------------------------------------------------- run
@@ -526,7 +601,7 @@ impl Cluster {
     /// Run for `d` of simulated time. In debug builds the invariant audit
     /// runs at the boundary (see [`Cluster::audit`]).
     pub fn run_for(&mut self, d: SimDuration) -> u64 {
-        let deadline = self.engine.now() + d;
+        let deadline = self.now() + d;
         let n = self.run_to(deadline);
         self.post_run();
         n
@@ -548,138 +623,90 @@ impl Cluster {
         n
     }
 
-    /// Advance to `deadline` on whichever executor the configuration
-    /// selected; returns the number of events processed.
-    ///
-    /// The parallel path splits the world into per-shard worlds, marries
-    /// each to its persistent engine, runs the conservative epoch protocol
-    /// on scoped worker threads, then absorbs the shards back and snaps
-    /// the facade clock to the merged final time. Every split/absorb step
-    /// is deterministic, so results are byte-identical to the sequential
-    /// path for any shard count.
+    /// Advance every shard to `deadline` under the conservative epoch
+    /// protocol (scoped worker threads, or none at all for one shard);
+    /// returns the number of events processed. Results are byte-identical
+    /// for any shard count.
     fn run_to(&mut self, deadline: SimTime) -> u64 {
-        match &mut self.par {
-            None => self.engine.run_until(&mut self.world, deadline),
-            Some(par) => {
-                let before: u64 = par.engines.iter().map(|e| e.events_processed()).sum();
-                let worlds = self.world.split_shards(&par.part);
-                let mut shards: Vec<SendCell<ShardRun>> = worlds
-                    .into_iter()
-                    .zip(par.engines.drain(..))
-                    .map(|(world, engine)| {
-                        // SAFETY: the shard world + its engine's pending
-                        // events form one closed `Rc` graph (cross-shard
-                        // frames share only atomically counted frozen
-                        // payloads, hosts always return to the same
-                        // shard), and the executor runs each shard on
-                        // exactly one thread at a time.
-                        unsafe {
-                            SendCell::new(ShardRun { engine, world, part: par.part.clone() })
-                        }
-                    })
-                    .collect();
-                let final_now = run_conservative(&mut shards, &par.look, deadline);
-                let mut worlds = Vec::with_capacity(shards.len());
-                for cell in shards {
-                    let ShardRun { engine, world, .. } = cell.into_inner();
-                    par.engines.push(engine);
-                    worlds.push(world);
-                }
-                // The executor's final-epoch elision may leave cross-shard
-                // mail in shard outboxes — all of it timestamped past the
-                // deadline, destined for the next run slice. Relay it into
-                // the owning engines here (keyed, so order is canonical)
-                // before the absorb's outbox-empty check.
-                for world in &mut worlds {
-                    for (at, key, corrupt, pkt) in world.outbox.drain(..) {
-                        debug_assert!(at > deadline, "undelivered mail within the deadline");
-                        let s = par.part.shard_of(pkt.dst.0) as usize;
-                        par.engines[s].schedule_keyed_at(
-                            at,
-                            key,
-                            Event::Ingress { host: pkt.dst.0, corrupt, pkt },
-                        );
-                    }
-                }
-                self.world.absorb_shards(worlds, &par.part);
-                self.engine.sync_now(final_now);
-                let after: u64 = par.engines.iter().map(|e| e.events_processed()).sum();
-                after - before
+        let before = self.events_processed();
+        let part = &self.part;
+        let mut runs: Vec<SendCell<ShardRun<'_>>> = self
+            .shards
+            .iter_mut()
+            .map(|shard| {
+                // SAFETY: a shard world plus its engine's pending events
+                // form one closed `Rc` graph — every shard has its own
+                // trace, auditor and telemetry handles, and cross-shard
+                // frames share only atomically counted frozen payloads —
+                // and the executor runs each shard on exactly one thread
+                // at a time. The partition is shared read-only.
+                unsafe { SendCell::new(ShardRun { shard, part }) }
+            })
+            .collect();
+        run_conservative(&mut runs, &self.look, deadline);
+        drop(runs);
+        // The executor's final-epoch elision may leave cross-shard mail in
+        // shard outboxes — all of it timestamped past the deadline,
+        // destined for the next run. Relay it into the owning engines
+        // (keyed, so order is canonical).
+        for s in 0..self.shards.len() {
+            for (at, key, corrupt, pkt) in std::mem::take(&mut self.shards[s].world.outbox) {
+                debug_assert!(at > deadline, "undelivered mail within the deadline");
+                self.sched_keyed_at(at, key, Event::Ingress { host: pkt.dst.0, corrupt, pkt });
             }
         }
+        self.events_processed() - before
     }
 
-    /// Run-boundary bookkeeping shared by both executors: put the trace
-    /// ring and the violation list into canonical `(time, host)` order —
-    /// so reads are identical however the run was executed — then run the
-    /// debug-build audit.
+    /// Run-boundary checks: the control-plane replica check and the
+    /// invariant audit (debug builds only).
     fn post_run(&mut self) {
-        self.world.trace.borrow_mut().canonicalize();
-        self.world.auditor.borrow_mut().canonicalize_violations();
-        self.sync_ctl_keys();
+        self.check_control_replicas();
         self.debug_audit_check();
     }
 
-    /// Re-derive the main world's protection-key table from the adopted
-    /// control plane. Shard worlds clone the table at split and their
-    /// mid-run mutations (a migration creating the destination incarnation
-    /// and retiring the source one) are dropped at absorb, so without this
-    /// the sequential and sharded tables would disagree at the next run
-    /// slice — and `reply_key` lookups with them. Idempotent on the
-    /// sequential path, where `ctl_local` already mutated the table live.
-    fn sync_ctl_keys(&mut self) {
-        let Some(ctl) = self.world.control.as_deref() else { return };
-        let add: Vec<(GlobalEp, ProtectionKey)> =
-            ctl.placements().map(|(_, m)| (m.gep(), m.key)).collect();
-        let drop: Vec<GlobalEp> = ctl
-            .migrations()
-            .filter(|(_, m)| m.state == MigState::Done)
-            .map(|(_, m)| GlobalEp::new(HostId(m.from), m.from_ep))
-            .collect();
-        for gep in drop {
-            self.world.keys.remove(&gep);
+    /// Debug builds: every shard's control-plane replica must agree on
+    /// placements, migration records and counters. Nothing reconciles the
+    /// copies, and [`Cluster::control`] reads only the first.
+    fn check_control_replicas(&self) {
+        if !cfg!(debug_assertions) {
+            return;
         }
-        for (gep, k) in add {
-            self.world.keys.insert(gep, k);
+        let mut ctl = self.worlds().filter_map(|w| w.control.as_deref());
+        if let Some(first) = ctl.next() {
+            for (s, other) in ctl.enumerate() {
+                assert!(
+                    first.same_replica(other),
+                    "control-plane replica of shard {} diverged from shard 0",
+                    s + 1
+                );
+            }
         }
     }
 
     /// Schedule a setup-path event on the engine owning its target host.
     fn sched_ev(&mut self, d: SimDuration, ev: Event) {
-        let at = self.engine.now() + d;
-        match &mut self.par {
-            None => {
-                self.engine.schedule_at(at, ev);
-            }
-            Some(par) => {
-                let s = par.part.shard_of(ev.target_host()) as usize;
-                par.engines[s].schedule_at(at, ev);
-            }
-        }
+        let at = self.now() + d;
+        let s = self.shard_of(ev.target_host());
+        self.shards[s].engine.schedule_at(at, ev);
     }
 
     /// Keyed variant of [`Cluster::sched_ev`] for canonical ingress events.
     fn sched_keyed_at(&mut self, at: SimTime, key: u64, ev: Event) {
-        match &mut self.par {
-            None => {
-                self.engine.schedule_keyed_at(at, key, ev);
-            }
-            Some(par) => {
-                let s = par.part.shard_of(ev.target_host()) as usize;
-                par.engines[s].schedule_keyed_at(at, key, ev);
-            }
-        }
+        let s = self.shard_of(ev.target_host());
+        self.shards[s].engine.schedule_keyed_at(at, key, ev);
     }
 
     // ----------------------------------------------- external effect glue
 
     fn apply_os_ext(&mut self, host: usize, outs: Vec<OsOut>) {
-        let now = self.engine.now();
+        let now = self.now();
         for o in outs {
             match o {
                 OsOut::Nic(op) => {
                     let mut nic_outs = Vec::new();
-                    self.world.nic_mut(host).driver_request(now, op, &mut nic_outs);
+                    let w = self.world_of_mut(HostId(host as u32));
+                    w.nic_mut(host).driver_request(now, op, &mut nic_outs);
                     self.apply_nic_ext(host, nic_outs);
                 }
                 OsOut::Wake(tid) => {
@@ -693,23 +720,24 @@ impl Cluster {
     }
 
     fn apply_nic_ext(&mut self, host: usize, outs: Vec<NicOut>) {
-        let now = self.engine.now();
+        let now = self.now();
         for o in outs {
             match o {
                 NicOut::After(d, ev) => {
                     self.sched_ev(d, Event::Nic { host: host as u32, ev });
                 }
-                NicOut::Inject(pkt) => match self.world.fabric.inject_src(now, pkt) {
-                    Phase1::Ingress { at, seq, corrupt, pkt } => {
-                        let key = INGRESS_KEY_BIT | ((pkt.src.0 as u64) << 40) | seq;
-                        self.sched_keyed_at(
-                            at,
-                            key,
-                            Event::Ingress { host: pkt.dst.0, corrupt, pkt },
-                        );
+                // The source's shard judges and times the ascending hops,
+                // exactly as an in-run injection would.
+                NicOut::Inject(pkt) => {
+                    match self.world_of_mut(pkt.src).fabric.inject_src(now, pkt) {
+                        Phase1::Ingress { at, seq, corrupt, pkt } => {
+                            let key = INGRESS_KEY_BIT | ((pkt.src.0 as u64) << 40) | seq;
+                            let ev = Event::Ingress { host: pkt.dst.0, corrupt, pkt };
+                            self.sched_keyed_at(at, key, ev);
+                        }
+                        Phase1::Dropped { .. } => {}
                     }
-                    Phase1::Dropped { .. } => {}
-                },
+                }
                 NicOut::Driver(msg) => {
                     self.sched_ev(SimDuration::ZERO, Event::DriverMsg { host: host as u32, msg });
                 }
@@ -722,48 +750,63 @@ impl Cluster {
     /// with warmed endpoints).
     pub fn make_resident(&mut self, ep: GlobalEp) {
         let h = ep.host.idx();
-        let now = self.engine.now();
+        let now = self.now();
         let mut outs = Vec::new();
-        self.world.os_mut(h).proxy_fault(now, ep.ep, &mut outs);
+        self.world_of_mut(ep.host).os_mut(h).proxy_fault(now, ep.ep, &mut outs);
         self.apply_os_ext(h, outs);
         // Bounded settle: the remap takes well under 50 ms on an idle node.
-        let deadline = self.engine.now() + SimDuration::from_millis(50);
-        while !self.world.nic(h).is_resident(ep.ep) && self.engine.now() < deadline {
-            let step = self.engine.now() + SimDuration::from_micros(100);
+        let deadline = self.now() + SimDuration::from_millis(50);
+        while !self.nic(ep.host).is_resident(ep.ep) && self.now() < deadline {
+            let step = self.now() + SimDuration::from_micros(100);
             self.run_to(step);
-            if self.queue_len() == 0 && !self.world.nic(h).is_resident(ep.ep) {
+            if self.queue_len() == 0 && !self.nic(ep.host).is_resident(ep.ep) {
                 // Queue drained without the load completing — nothing more
                 // will happen spontaneously.
                 break;
             }
         }
         assert!(
-            self.world.nic(h).is_resident(ep.ep),
+            self.nic(ep.host).is_resident(ep.ep),
             "make_resident failed for {ep}: remap pipeline stalled"
         );
+    }
+
+    /// Administrative link hot-swap (§3.2): take `link` down, or bring it
+    /// back up, cluster-wide. Every shard's fault plan changes, because a
+    /// packet's source shard judges its whole route. Unlike a scheduled
+    /// campaign, the NICs' route oracle never sees it.
+    pub fn set_link_up(&mut self, link: LinkId, up: bool) {
+        for s in &mut self.shards {
+            let faults = s.world.fabric.faults_mut();
+            if up {
+                faults.link_up(link);
+            } else {
+                faults.link_down(link);
+            }
+        }
     }
 
     // ----------------------------------------------------- control plane
 
     /// Install the multi-tenant control plane: the coordinator owns
     /// endpoint allocation, per-tenant quotas, and live migration from
-    /// here on. Registers every tenant with the auditor (byte-conservation
-    /// checking) and broadcasts the bootstrap reconcile tick to every
-    /// host, so the reconcile loop runs as ordinary keyed wheel events —
-    /// byte-identical sequential vs sharded. Call once, before running.
+    /// here on. Every shard world gets an identical replica and registers
+    /// every tenant with its auditor (byte-conservation checking); the
+    /// bootstrap reconcile tick is broadcast to every host, so the
+    /// reconcile loop runs as ordinary keyed wheel events — byte-identical
+    /// at any shard count. Call once, before running.
     pub fn install_control(&mut self, spec: ControlSpec) {
-        assert!(self.world.control.is_none(), "control plane already installed");
-        let plane = ControlPlane::new(spec, self.world.cfg.seed);
-        {
-            let mut a = self.world.auditor.borrow_mut();
+        assert!(self.control().is_none(), "control plane already installed");
+        let plane = ControlPlane::new(spec, self.shards[0].world.cfg.seed);
+        for s in &mut self.shards {
+            s.world.control = Some(Box::new(plane.clone()));
+            let mut a = s.world.auditor.borrow_mut();
             for (i, t) in plane.spec.tenants.iter().enumerate() {
                 a.register_tenant(i as u32, &t.name, t.bytes_per_epoch, plane.spec.epoch);
             }
         }
         let first = plane.spec.first_tick;
-        let hosts = self.world.hosts() as u32;
-        self.world.control = Some(Box::new(plane));
-        for h in 0..hosts {
+        for h in 0..self.hosts() as u32 {
             self.sched_keyed_at(
                 first,
                 ctl_key(0, h),
@@ -775,7 +818,18 @@ impl Cluster {
     /// The coordinator's replicated state (placements, migration records,
     /// convergence lag, counters). `None` before [`Self::install_control`].
     pub fn control(&self) -> Option<&ControlPlane> {
-        self.world.control.as_deref()
+        self.shards[0].world.control.as_deref()
+    }
+
+    /// Apply one coordinator mutation to every shard's replica, returning
+    /// the first replica's result (all replicas compute the same one).
+    fn ctl_each<R>(&mut self, mut f: impl FnMut(&mut ControlPlane) -> R) -> R {
+        let mut first = None;
+        for s in &mut self.shards {
+            let r = f(s.world.control.as_mut().expect("install_control first"));
+            first.get_or_insert(r);
+        }
+        first.expect("a cluster has at least one shard")
     }
 
     /// Coordinator-owned service endpoint for `tenant` on `host`: counts
@@ -788,21 +842,24 @@ impl Cluster {
         tenant: u32,
         host: HostId,
     ) -> Result<(u32, GlobalEp), QuotaError> {
-        let now = self.engine.now();
-        let ctl = self.world.control.as_mut().expect("install_control first");
-        let (vid, ep, key) = ctl.alloc_endpoint(tenant, host.0, true)?;
-        let factory = ctl.spec.tenants[tenant as usize].factory.clone();
+        let now = self.now();
+        let (vid, ep, key) = self.ctl_each(|c| c.alloc_endpoint(tenant, host.0, true))?;
+        let factory = self.control().expect("just allocated").spec.tenants[tenant as usize]
+            .factory
+            .clone();
         let h = host.idx();
-        let mut outs = Vec::new();
-        self.world.os_mut(h).create_endpoint_with_id(now, ep, key, &mut outs);
-        self.world.user_entry(h, ep);
         let gep = GlobalEp::new(host, ep);
-        self.world.keys.insert(gep, key);
-        self.world.auditor.borrow_mut().bind_tenant(host.0, ep.0, tenant);
+        let mut outs = Vec::new();
+        let w = self.world_of_mut(host);
+        w.os_mut(h).create_endpoint_with_id(now, ep, key, &mut outs);
+        w.user_entry(h, ep);
+        w.auditor.borrow_mut().bind_tenant(host.0, ep.0, tenant);
+        self.insert_key(gep, key);
         self.apply_os_ext(h, outs);
-        let tid = self.world.spawn_thread_raw(h, factory(gep));
-        self.world.note_ctl_thread(h, ep, tid);
-        if let Some((d, ev)) = self.world.prep_cpu_kick(h, now) {
+        let w = self.world_of_mut(host);
+        let tid = w.spawn_thread_raw(h, factory(gep));
+        w.note_ctl_thread(h, ep, tid);
+        if let Some((d, ev)) = w.prep_cpu_kick(h, now) {
             self.sched_ev(d, ev);
         }
         Ok((vid, gep))
@@ -819,15 +876,17 @@ impl Cluster {
         tenant: u32,
         host: HostId,
     ) -> Result<(u32, GlobalEp), QuotaError> {
-        let now = self.engine.now();
-        let ctl = self.world.control.as_mut().expect("install_control first");
-        let (vid, ep, key) = ctl.alloc_endpoint(tenant, host.0, false)?;
+        let now = self.now();
+        let (vid, ep, key) = self.ctl_each(|c| c.alloc_endpoint(tenant, host.0, false))?;
+        let ctl = self.control().expect("just allocated");
         let budget = ctl.per_ep_budget(tenant);
         let epoch_nanos = ctl.spec.epoch.as_nanos().max(1);
         let h = host.idx();
+        let gep = GlobalEp::new(host, ep);
         let mut outs = Vec::new();
-        self.world.os_mut(h).create_endpoint_with_id(now, ep, key, &mut outs);
-        self.world.user_entry(h, ep).quota = Some(EpQuota {
+        let w = self.world_of_mut(host);
+        w.os_mut(h).create_endpoint_with_id(now, ep, key, &mut outs);
+        w.user_entry(h, ep).quota = Some(EpQuota {
             tenant,
             bytes_per_epoch: budget,
             epoch_nanos,
@@ -835,9 +894,8 @@ impl Cluster {
             epoch_idx: 0,
             denied: 0,
         });
-        let gep = GlobalEp::new(host, ep);
-        self.world.keys.insert(gep, key);
-        self.world.auditor.borrow_mut().bind_tenant(host.0, ep.0, tenant);
+        w.auditor.borrow_mut().bind_tenant(host.0, ep.0, tenant);
+        self.insert_key(gep, key);
         self.apply_os_ext(h, outs);
         Ok((vid, gep))
     }
@@ -852,15 +910,17 @@ impl Cluster {
         idx: usize,
         target_vid: u32,
     ) -> Result<(), QuotaError> {
-        let ctl = self.world.control.as_mut().expect("install_control first");
-        let (ch, cep) = ctl
+        let (ch, cep) = self
+            .control()
+            .expect("install_control first")
             .managed(client_vid)
             .map(|m| (m.host, m.ep))
             .ok_or(QuotaError::UnknownVid(client_vid))?;
-        ctl.bind_connection(client_vid, idx, target_vid)?;
-        let t = ctl.managed(target_vid).expect("bind_connection validated the target");
+        self.ctl_each(|c| c.bind_connection(client_vid, idx, target_vid))?;
+        let t = self.control().and_then(|c| c.managed(target_vid));
+        let t = t.expect("bind_connection validated the target");
         let (target, key) = (t.gep(), t.key);
-        self.world.user_entry(ch as usize, cep).set_translation(idx, target, key);
+        self.world_of_mut(HostId(ch)).user_entry(ch as usize, cep).set_translation(idx, target, key);
         Ok(())
     }
 
@@ -870,34 +930,26 @@ impl Cluster {
     /// four-phase protocol (drain → create → retarget → finish) then runs
     /// under whatever traffic is in flight.
     pub fn ctl_request_migration(&mut self, vid: u32, dst: Option<HostId>) {
-        self.world
-            .control
-            .as_mut()
-            .expect("install_control first")
-            .request_migration(vid, dst.map(|h| h.0));
+        self.ctl_each(|c| c.request_migration(vid, dst.map(|h| h.0)));
     }
 
     /// Check the bounded time-to-convergence invariant: the coordinator
     /// must never have been diverged (in-flight migrations, or services
     /// placed on down hosts) for longer than `bound`, and must not be
-    /// diverged older than `bound` right now. Violations land in the
-    /// auditor and surface through [`Cluster::audit`]. A no-op before
+    /// diverged older than `bound` right now. Violations persist and
+    /// surface through [`Cluster::audit`]. A no-op before
     /// [`Self::install_control`].
     pub fn check_reconverged(&self, bound: SimDuration) {
-        let Some(ctl) = self.world.control.as_deref() else { return };
-        self.world.auditor.borrow_mut().check_reconverged(
-            self.now(),
-            ctl.diverged_since,
-            ctl.worst_lag,
-            bound,
-        );
+        let Some(ctl) = self.control() else { return };
+        let (now, since, worst) = (self.now(), ctl.diverged_since, ctl.worst_lag);
+        self.check_fold(|a| a.check_reconverged(now, since, worst, bound));
     }
 
     /// Force the least-recently-active paged-in endpoint on `host` out to
     /// disk (§4 pageout). Returns the victim, or `None` when nothing is
     /// eligible. Test hook for residency churn under traffic.
     pub fn force_pageout_lru(&mut self, host: HostId) -> Option<EpId> {
-        self.world.os_mut(host.idx()).pageout_lru()
+        self.world_of_mut(host).os_mut(host.idx()).pageout_lru()
     }
 }
 
@@ -948,12 +1000,14 @@ impl Cluster {
         for &ep in &proc_.endpoints {
             self.destroy_endpoint(ep);
         }
+        let now = self.now();
+        let h = proc_.host.idx();
+        let w = self.world_of_mut(proc_.host);
         for &tid in &proc_.threads {
-            self.world.kill_thread(proc_.host.idx(), tid);
+            w.kill_thread(h, tid);
         }
         // Let the scheduler observe the exits.
-        let now = self.engine.now();
-        if let Some((d, ev)) = self.world.prep_cpu_kick(proc_.host.idx(), now) {
+        if let Some((d, ev)) = w.prep_cpu_kick(h, now) {
             self.sched_ev(d, ev);
         }
     }
@@ -1111,6 +1165,18 @@ mod tests {
         assert!(lat.quantile_bound(0.5) > 1_000, "p50 bound {}", lat.quantile_bound(0.5));
         let sent: u64 = (0..8).map(|h| c.abs_stats(HostId(h)).unwrap().sent).sum();
         assert_eq!(sent, 160);
+    }
+
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore = "the replica check runs in debug builds")]
+    #[should_panic(expected = "control-plane replica of shard 1 diverged")]
+    fn diverged_control_replica_is_caught_at_the_run_boundary() {
+        let mut c = Cluster::builder().hosts(4).shards(2).build();
+        assert_eq!(c.shards(), 2);
+        c.install_control(ControlSpec::default());
+        c.run_for(SimDuration::from_micros(10));
+        c.shards[1].world.control.as_mut().expect("installed").reconciles += 1;
+        c.run_for(SimDuration::from_micros(10));
     }
 
     #[test]

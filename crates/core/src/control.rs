@@ -190,7 +190,7 @@ pub enum MigState {
 }
 
 /// One migration attempt of a managed endpoint.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MigRec {
     /// The managed endpoint being moved.
     pub vid: u32,
@@ -220,7 +220,7 @@ impl MigRec {
 }
 
 /// Coordinator's record of one managed endpoint.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ManagedEp {
     /// Owning tenant (index into [`ControlSpec::tenants`]).
     pub tenant: u32,
@@ -259,8 +259,9 @@ pub struct Connection {
 pub type CtlEntry = (SimTime, u64, CtlOp);
 
 /// The replicated coordinator state (see module docs for the determinism
-/// model). One copy lives in the main world and is cloned into every
-/// shard world at split time; all copies evolve identically.
+/// model). Every shard world holds its own copy for the cluster's
+/// lifetime; setup-path mutations are applied to each copy, and all
+/// copies evolve identically.
 #[derive(Clone, Debug)]
 pub struct ControlPlane {
     /// Static configuration.
@@ -328,8 +329,8 @@ impl ControlPlane {
     // ------------------------------------------------------- allocation
     //
     // Setup-path methods, called through the `Cluster` facade between run
-    // slices (the main world then owns all state, so no replication
-    // concerns arise).
+    // slices on every shard's copy alike (each copy draws the same keys
+    // and ids, so the replicas stay identical).
 
     /// Allocate a managed endpoint id, host placement entry, and key for
     /// tenant `tenant` on `host`. Fails when the tenant's endpoint quota
@@ -389,6 +390,25 @@ impl ControlPlane {
     /// host) at its next reconcile tick.
     pub fn request_migration(&mut self, vid: u32, dst: Option<u32>) {
         self.pending_requests.push((vid, dst));
+    }
+
+    /// Whether `other` holds the same replicated state: placements,
+    /// migration records, convergence lag and counters (the debug-build
+    /// replica check at run boundaries).
+    pub(crate) fn same_replica(&self, other: &ControlPlane) -> bool {
+        let counters = |c: &ControlPlane| {
+            (
+                c.diverged_since,
+                c.worst_lag,
+                c.migrations_started,
+                c.migrations_completed,
+                c.migrations_failed,
+                c.reconciles,
+                c.cached_ticks,
+                c.retries,
+            )
+        };
+        self.managed == other.managed && self.migs == other.migs && counters(self) == counters(other)
     }
 
     // -------------------------------------------------------- inspection

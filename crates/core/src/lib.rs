@@ -90,7 +90,7 @@ pub use control::{
     QuotaError, TenantSpec, CTL_EP_BASE,
 };
 pub use model::{
-    bounded_pareto, zipf_rank, AbsStats, AbstractTraffic, FabricModel, FabricSlot, Fidelity,
+    bounded_pareto, zipf_rank, AbsStats, AbstractTraffic, FabricSlot, Fidelity,
     FidelityMap, HostModel, NicModel, OpenLoopSpec,
 };
 pub use names::NameService;

@@ -1,6 +1,6 @@
-//! Pluggable fidelity boundaries: narrow traits between the composed
-//! world and its host / NIC / fabric models, plus one *abstract* fast
-//! model per boundary.
+//! Pluggable fidelity boundaries: narrow seams between the composed
+//! world and its host / NIC / fabric models (a trait per host-side seam,
+//! one enum for the fabric), plus one *abstract* fast model per boundary.
 //!
 //! The paper's value is its per-protocol detail — the NI firmware loop,
 //! the §4 residency machine, the §5.1 stop-and-wait channels — but a
@@ -17,7 +17,7 @@
 //! * [`NicModel`] — the wire-facing delivery seam. Full: [`vnet_nic::Nic`]
 //!   (CRC check, protection, NACK/retransmit). Abstract: [`AbstractNic`],
 //!   a counter that accepts every frame.
-//! * [`FabricModel`] — the network between hosts. Full:
+//! * [`FabricSlot`] — the network between hosts. Full:
 //!   [`vnet_net::Fabric`] (per-link bandwidth arbitration). Abstract:
 //!   [`vnet_net::DelayFabric`] (route latency only).
 //!
@@ -207,74 +207,16 @@ fn parse_ranges(s: &str) -> Result<Vec<u32>, String> {
 }
 
 // ===================================================================
-// FabricModel
+// FabricSlot
 // ===================================================================
 
 /// The network between hosts, as the composed world sees it: deterministic
 /// source routing, the two-phase `(inject_src, complete_ingress)` timing
 /// protocol, and a fault plan judged on the sender's own stream. Both
-/// implementations keep per-source ingress sequences and identical per-hop
-/// latencies, so the parallel executor's lookahead bound holds for either.
-pub trait FabricModel {
-    /// The topology in use.
-    fn topology(&self) -> &Topology;
-    /// The physical parameters in use.
-    fn net_config(&self) -> &NetConfig;
-    /// The fault plan (read).
-    fn faults(&self) -> &FaultPlan;
-    /// The fault plan (campaign ops, hot-swap control).
-    fn faults_mut(&mut self) -> &mut FaultPlan;
-    /// Phase 1: judge faults and time the ascending hops.
-    fn inject_src(&mut self, now: SimTime, pkt: Packet<Frame>) -> Phase1<Frame>;
-    /// Phase 2: time the descending hops from the ingress instant.
-    fn complete_ingress(&mut self, at: SimTime, pkt: &Packet<Frame>) -> SimDuration;
-}
-
-impl FabricModel for Fabric {
-    fn topology(&self) -> &Topology {
-        Fabric::topology(self)
-    }
-    fn net_config(&self) -> &NetConfig {
-        Fabric::config(self)
-    }
-    fn faults(&self) -> &FaultPlan {
-        Fabric::faults(self)
-    }
-    fn faults_mut(&mut self) -> &mut FaultPlan {
-        Fabric::faults_mut(self)
-    }
-    fn inject_src(&mut self, now: SimTime, pkt: Packet<Frame>) -> Phase1<Frame> {
-        Fabric::inject_src(self, now, pkt)
-    }
-    fn complete_ingress(&mut self, at: SimTime, pkt: &Packet<Frame>) -> SimDuration {
-        Fabric::complete_ingress(self, at, pkt)
-    }
-}
-
-impl FabricModel for DelayFabric {
-    fn topology(&self) -> &Topology {
-        DelayFabric::topology(self)
-    }
-    fn net_config(&self) -> &NetConfig {
-        DelayFabric::config(self)
-    }
-    fn faults(&self) -> &FaultPlan {
-        DelayFabric::faults(self)
-    }
-    fn faults_mut(&mut self) -> &mut FaultPlan {
-        DelayFabric::faults_mut(self)
-    }
-    fn inject_src(&mut self, now: SimTime, pkt: Packet<Frame>) -> Phase1<Frame> {
-        DelayFabric::inject_src(self, now, pkt)
-    }
-    fn complete_ingress(&mut self, at: SimTime, pkt: &Packet<Frame>) -> SimDuration {
-        DelayFabric::complete_ingress(self, at, pkt)
-    }
-}
-
-/// The world's fabric: one registered [`FabricModel`], dispatched
-/// statically so the hot path stays branch-predictable and the shard
-/// split/absorb protocol stays concrete.
+/// models keep per-source ingress sequences and identical per-hop
+/// latencies, so the parallel executor's lookahead bound holds for
+/// either; the slot dispatches statically so the hot path stays
+/// branch-predictable.
 pub enum FabricSlot {
     /// Full bandwidth-arbitrating fabric.
     Full(Fabric),
@@ -299,10 +241,6 @@ impl FabricSlot {
             FabricSlot::Delay(_) => None,
         }
     }
-
-    // Inherent mirrors of the [`FabricModel`] surface, so callers holding
-    // a `World` need no trait import for plain inspection and fault
-    // control (the trait impl below forwards here).
 
     /// The topology in use.
     pub fn topology(&self) -> &Topology {
@@ -351,50 +289,6 @@ impl FabricSlot {
             FabricSlot::Full(f) => f.complete_ingress(at, pkt),
             FabricSlot::Delay(f) => f.complete_ingress(at, pkt),
         }
-    }
-
-    /// Shard copy (same discipline as the underlying model).
-    pub(crate) fn split_shard(&self) -> FabricSlot {
-        match self {
-            FabricSlot::Full(f) => FabricSlot::Full(f.split_shard()),
-            FabricSlot::Delay(f) => FabricSlot::Delay(f.split_shard()),
-        }
-    }
-
-    /// Copy back a shard's owned link/fault/sequence state.
-    pub(crate) fn absorb_shard(
-        &mut self,
-        sh: &FabricSlot,
-        lo: u32,
-        hi: u32,
-        owns_link: impl Fn(vnet_net::LinkId) -> bool,
-    ) {
-        match (self, sh) {
-            (FabricSlot::Full(a), FabricSlot::Full(b)) => a.absorb_shard(b, lo, hi, owns_link),
-            (FabricSlot::Delay(a), FabricSlot::Delay(b)) => a.absorb_shard(b, lo, hi, owns_link),
-            _ => panic!("fabric fidelity changed between split and absorb"),
-        }
-    }
-}
-
-impl FabricModel for FabricSlot {
-    fn topology(&self) -> &Topology {
-        FabricSlot::topology(self)
-    }
-    fn net_config(&self) -> &NetConfig {
-        FabricSlot::config(self)
-    }
-    fn faults(&self) -> &FaultPlan {
-        FabricSlot::faults(self)
-    }
-    fn faults_mut(&mut self) -> &mut FaultPlan {
-        FabricSlot::faults_mut(self)
-    }
-    fn inject_src(&mut self, now: SimTime, pkt: Packet<Frame>) -> Phase1<Frame> {
-        FabricSlot::inject_src(self, now, pkt)
-    }
-    fn complete_ingress(&mut self, at: SimTime, pkt: &Packet<Frame>) -> SimDuration {
-        FabricSlot::complete_ingress(self, at, pkt)
     }
 }
 
@@ -1055,7 +949,7 @@ mod tests {
         c.run_for(SimDuration::from_millis(1));
 
         // The same frame forged and timed outside the cluster.
-        let w = c.world();
+        let w = c.world_of(HostId(1));
         let (o_s, o_r) = (w.cfg.cost.host_send, w.cfg.cost.host_recv);
         let fab = &w.fabric;
         let mut delay =

@@ -21,13 +21,15 @@
 //! prefix (`net.packets`, `trace.dropped_events`, `engine.*`).
 
 use crate::cluster::Cluster;
-use vnet_sim::telemetry::{MetricValue, MetricsSnapshot, TelemetryHandle};
+use crate::world::World;
+use vnet_sim::telemetry::{MetricValue, MetricsSnapshot, Telemetry};
 
 /// Borrowed observability facade over a [`Cluster`] (see module docs).
 ///
-/// Cheap to construct; holds no state of its own. All mutation goes
-/// through interior-mutable handles (the trace ring, the debug-audit
-/// flag), so a shared borrow suffices.
+/// Cheap to construct; holds no state of its own. Every read folds the
+/// per-shard state on demand, and all mutation goes through
+/// interior-mutable handles (the trace rings, the debug-audit flag), so a
+/// shared borrow suffices.
 pub struct ClusterTelemetry<'a> {
     c: &'a Cluster,
 }
@@ -42,13 +44,7 @@ impl<'a> ClusterTelemetry<'a> {
     /// either way — component stats are always counted; only the
     /// registry metrics and the Perfetto span log need the hooks.
     pub fn enabled(&self) -> bool {
-        self.c.world().telemetry.is_some()
-    }
-
-    /// The raw telemetry registry handle, when attached (custom metric
-    /// registration, direct span emission from test harnesses).
-    pub fn handle(&self) -> Option<TelemetryHandle> {
-        self.c.world().telemetry.clone()
+        self.c.worlds().any(|w| w.telemetry.is_some())
     }
 
     /// Flat snapshot of every metric in the cluster at the current
@@ -57,28 +53,32 @@ impl<'a> ClusterTelemetry<'a> {
     /// abstract ones — fabric aggregates (`net.*`), engine progress
     /// (`engine.*`), trace-ring drop accounting (`trace.*`), and — when
     /// telemetry hooks are attached — every registry metric and the
-    /// span-log drop counter (`telemetry.dropped_spans`).
+    /// span-log drop counter (`telemetry.dropped_spans`). Per-shard state
+    /// is folded: host metrics in host order, fabric counters summed.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let w = self.c.world();
-        let mut s = MetricsSnapshot::new(self.c.now());
-        for h in 0..w.hosts() {
-            w.slot(h).record_metrics(h, &mut s);
+        let c = self.c;
+        let mut s = MetricsSnapshot::new(c.now());
+        for w in c.worlds() {
+            for h in w.host_ids() {
+                w.slot(h).record_metrics(h, &mut s);
+            }
         }
-        s.record_set("net", &w.fabric);
-        if let Some(ctl) = &w.control {
-            s.record_set("ctl", &**ctl);
-            s.record("ctl.quota_denials", MetricValue::Counter(w.quota_denials()));
+        record_net(&mut s, c.worlds());
+        if let Some(ctl) = c.control() {
+            s.record_set("ctl", ctl);
+            s.record("ctl.quota_denials", MetricValue::Counter(c.quota_denials()));
         }
-        s.record("engine.events_processed", MetricValue::Counter(self.c.events_processed()));
-        s.record(
-            "engine.sim_time_us",
-            MetricValue::Gauge(self.c.now().as_micros_f64()),
-        );
-        s.record("trace.dropped_events", MetricValue::Counter(w.trace.borrow().dropped()));
-        if let Some(tel) = &w.telemetry {
-            let t = tel.borrow();
-            s.record_set("", &*t);
-            s.record("telemetry.dropped_spans", MetricValue::Counter(t.dropped_spans()));
+        s.record("engine.events_processed", MetricValue::Counter(c.events_processed()));
+        s.record("engine.sim_time_us", MetricValue::Gauge(c.now().as_micros_f64()));
+        s.record("trace.dropped_events", MetricValue::Counter(c.trace().dropped()));
+        if self.enabled() {
+            let mut dropped = 0;
+            for tel in c.worlds().filter_map(|w| w.telemetry.as_ref()) {
+                let t = tel.borrow();
+                s.record_set("", &*t);
+                dropped += t.dropped_spans();
+            }
+            s.record("telemetry.dropped_spans", MetricValue::Counter(dropped));
         }
         s
     }
@@ -90,6 +90,24 @@ impl<'a> ClusterTelemetry<'a> {
         self.snapshot().delta_since(earlier)
     }
 
+    /// Every shard registry's span events folded into one (see
+    /// [`Telemetry::fold_spans`]); `None` when hooks are detached.
+    fn spans(&self) -> Option<Telemetry> {
+        if !self.enabled() {
+            return None;
+        }
+        let regs: Vec<_> =
+            self.c.worlds().filter_map(|w| w.telemetry.as_ref()).map(|t| t.borrow()).collect();
+        Some(Telemetry::fold_spans(regs.iter().map(|t| &**t)))
+    }
+
+    /// The span log as plain text in the canonical `(time, host)` order —
+    /// a byte-comparable form for differential tests (see
+    /// [`Telemetry::span_log`]). Empty when telemetry hooks are detached.
+    pub fn span_log(&self) -> String {
+        self.spans().map(|t| t.span_log()).unwrap_or_default()
+    }
+
     /// Export the span log as Chrome trace-event / Perfetto JSON; load
     /// at <https://ui.perfetto.dev>. Each host is a process, each layer
     /// track (`nic.chan`, `nic.dma`, `nic.fw`, `os.seg`) a thread;
@@ -97,8 +115,8 @@ impl<'a> ClusterTelemetry<'a> {
     /// faults are instants. An empty (but loadable) trace when telemetry
     /// hooks are detached.
     pub fn export_perfetto(&self) -> String {
-        match &self.c.world().telemetry {
-            Some(t) => t.borrow().export_chrome_trace(),
+        match self.spans() {
+            Some(t) => t.export_chrome_trace(),
             None => "{\"displayTimeUnit\": \"ns\", \"traceEvents\": [\n]}\n".to_string(),
         }
     }
@@ -112,19 +130,25 @@ impl<'a> ClusterTelemetry<'a> {
     }
 
     /// Enable the causal trace ring (ring-buffered text records of
-    /// residency and protocol transitions; see [`Self::trace_text`]).
+    /// residency and protocol transitions; see [`Self::trace_text`]) on
+    /// every shard.
     pub fn trace_enable(&self) {
-        self.c.world().trace.borrow_mut().enable();
+        for w in self.c.worlds() {
+            w.trace.borrow_mut().enable();
+        }
     }
 
-    /// Disable the causal trace ring.
+    /// Disable the causal trace ring on every shard.
     pub fn trace_disable(&self) {
-        self.c.world().trace.borrow_mut().disable();
+        for w in self.c.worlds() {
+            w.trace.borrow_mut().disable();
+        }
     }
 
-    /// Render the causal trace collected so far.
+    /// Render the causal trace collected so far (every shard's ring,
+    /// folded in canonical order).
     pub fn trace_text(&self) -> String {
-        self.c.world().trace.borrow().to_text()
+        self.c.trace().to_text()
     }
 
     /// Enable or disable the automatic debug-build invariant audit at
@@ -132,5 +156,30 @@ impl<'a> ClusterTelemetry<'a> {
     /// disable it and inspect [`Self::audit`] directly.
     pub fn set_debug_audit(&self, on: bool) {
         self.c.set_debug_audit_flag(on);
+    }
+}
+
+/// Record the `net.*` fabric metrics summed over every shard's fabric:
+/// each link and each source host is exercised by exactly one shard
+/// (see `Partition::link_owner`), so every counter is a disjoint sum. The
+/// one gauge (the link count) is the same on every shard and is kept
+/// once.
+fn record_net<'w>(out: &mut MetricsSnapshot, worlds: impl Iterator<Item = &'w World>) {
+    let mut sum: Vec<(String, MetricValue)> = Vec::new();
+    for w in worlds {
+        let mut one = MetricsSnapshot::new(out.at());
+        one.record_set("net", &w.fabric);
+        if sum.is_empty() {
+            sum = one.entries().to_vec();
+            continue;
+        }
+        for ((_, acc), (_, v)) in sum.iter_mut().zip(one.entries()) {
+            if let (MetricValue::Counter(a), MetricValue::Counter(b)) = (acc, v) {
+                *a += b;
+            }
+        }
+    }
+    for (name, v) in sum {
+        out.record(name, v);
     }
 }

@@ -2,11 +2,16 @@
 //! driver, thread scheduler, application threads — or an abstract LogP
 //! source/sink), wired into one deterministic event graph.
 //!
-//! Since PR 7 the world is fidelity-pluggable: each host slot holds one
+//! The world is fidelity-pluggable: each host slot holds one
 //! [`HostModel`] implementation ([`FullHost`] or
-//! [`crate::model::AbstractHost`]) and the fabric slot one
-//! [`crate::model::FabricModel`] implementation, selected per node by
-//! [`crate::config::ClusterConfig::fidelity`]. See [`crate::model`].
+//! [`crate::model::AbstractHost`]) and the [`FabricSlot`] one fabric
+//! model, selected per node by [`crate::config::ClusterConfig::fidelity`].
+//! See [`crate::model`].
+//!
+//! A cluster is one `World` per executor shard, each owning a contiguous
+//! range of global host ids for the cluster's whole lifetime (a
+//! one-shard cluster's world owns every host). Events and accessors
+//! speak global host ids.
 
 use crate::config::{ClusterConfig, Mode};
 use crate::control::{ControlPlane, CtlOp, MigPhase, MigState};
@@ -19,7 +24,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 use std::sync::Arc;
-use vnet_net::{FaultOp, FaultPlan, HostId, Packet, Partition, Phase1, RouteOracle, Topology};
+use vnet_net::{FaultOp, FaultPlan, HostId, Packet, Phase1, RouteOracle, Topology};
 use vnet_nic::{
     DriverMsg, EpId, Frame, GlobalEp, Nic, NicConfig, NicEvent, NicMode, NicOut, ProtectionKey,
 };
@@ -601,27 +606,32 @@ impl HostSlot {
     }
 }
 
-/// The composed world (see module docs).
+/// The composed world of one executor shard (see module docs).
 pub struct World {
     /// Build configuration.
     pub cfg: ClusterConfig,
-    /// The network model (full or delay-only; see [`FabricSlot`]).
+    /// This shard's copy of the network model (full or delay-only; see
+    /// [`FabricSlot`]). Each link and each source host is exercised by
+    /// exactly one shard, so per-shard counters sum to the cluster's.
     pub fabric: FabricSlot,
-    /// Protection keys of every endpoint (the rendezvous snapshot).
+    /// Protection keys of every endpoint in the cluster (the rendezvous
+    /// snapshot), replicated into every shard world.
     pub keys: HashMap<GlobalEp, ProtectionKey>,
-    /// Debug trace of residency and scheduling transitions; disabled by
-    /// default (enable via [`World::trace_mut`]). Shared with every NIC,
-    /// segment driver, and the auditor so protocol-level events land in one
+    /// Debug trace of residency and scheduling transitions on this
+    /// world's hosts; disabled by default (enable via [`World::trace_mut`]
+    /// or the cluster telemetry facade). Shared with every NIC, segment
+    /// driver, and the auditor so protocol-level events land in one
     /// causally ordered ring.
     pub trace: TraceHandle,
     /// Cross-layer invariant auditor; every full-fidelity NIC and segment
-    /// driver reports protocol events into it (delivery ledger, credit
-    /// conservation, stop-and-wait channel discipline, endpoint frame
-    /// accounting). Abstract hosts report nothing.
+    /// driver on this world reports protocol events into it (delivery
+    /// ledger, credit conservation, stop-and-wait channel discipline,
+    /// endpoint frame accounting). Abstract hosts report nothing.
     pub auditor: AuditHandle,
-    /// Unified telemetry registry (metrics + span tracing). `Some` only
-    /// when [`ClusterConfig::telemetry`] is set; with it absent no
-    /// component holds hooks and the hot path pays nothing.
+    /// Unified telemetry registry (metrics + span tracing) of this
+    /// world's hosts. `Some` only when [`ClusterConfig::telemetry`] is
+    /// set; with it absent no component holds hooks and the hot path pays
+    /// nothing.
     pub telemetry: Option<TelemetryHandle>,
     /// Replicated cluster control plane (coordinator + reconcile loop);
     /// `None` until [`crate::cluster::Cluster::install_control`]. Every
@@ -632,23 +642,27 @@ pub struct World {
     /// control plane's host-liveness verdict. Shared by every shard.
     pub(crate) oracle: Option<Arc<RouteOracle>>,
     hosts: Vec<HostSlot>,
-    key_rng: SimRng,
-    /// First global host id owned by this world: `0` for the full world,
-    /// the shard's partition start for a shard world. Events carry global
-    /// host ids; handlers subtract `base` to index the local vectors.
+    /// First global host id owned by this world. Events carry global host
+    /// ids; handlers subtract `base` to index the local vectors.
     base: u32,
     /// Cross-shard packets produced this epoch: `(arrival, canonical
-    /// ingress key, corrupt, packet)`. Always empty on the full world —
-    /// it owns every host — and drained at each epoch barrier by the
-    /// parallel executor.
+    /// ingress key, corrupt, packet)`. Always empty in a one-shard
+    /// cluster — its world owns every host — and drained at each epoch
+    /// barrier by the parallel executor.
     pub(crate) outbox: Vec<(SimTime, u64, bool, Packet<Frame>)>,
 }
 
 impl World {
-    /// Build from configuration.
-    pub fn new(cfg: ClusterConfig) -> Self {
-        let topo = Topology::build(cfg.topology.clone());
-        let n = topo.host_count() as usize;
+    /// Build the shard world owning global hosts `[lo, hi)` of `topo`:
+    /// its host slots plus its own fabric state, trace ring, auditor and
+    /// telemetry registry. `oracle` is the cluster's one read-only view
+    /// of the scheduled fault campaign.
+    pub(crate) fn new(
+        cfg: ClusterConfig,
+        topo: Topology,
+        oracle: Option<Arc<RouteOracle>>,
+        (lo, hi): (u32, u32),
+    ) -> Self {
         let mut faults = if cfg.drop_prob > 0.0 || cfg.corrupt_prob > 0.0 {
             FaultPlan::with_errors(cfg.seed ^ 0xFA17, cfg.drop_prob, cfg.corrupt_prob)
         } else {
@@ -657,14 +671,6 @@ impl World {
         if let Some(ge) = cfg.faults.bursty {
             faults.install_bursty(ge);
         }
-        // The route oracle is the NICs' read-only view of the *scheduled*
-        // campaign (administrative hot-swaps stay invisible to it). Built
-        // once, shared by every NIC on every shard.
-        let oracle: Option<Arc<RouteOracle>> = if cfg.faults.is_empty() {
-            None
-        } else {
-            Some(Arc::new(RouteOracle::new(topo.clone(), &cfg.faults)))
-        };
         let fabric = FabricSlot::build(cfg.fidelity.fabric(), cfg.net.clone(), topo, faults);
         let mut nic_cfg: NicConfig = cfg.nic.clone();
         nic_cfg.mode = match cfg.mode {
@@ -680,37 +686,37 @@ impl World {
             // Abstract hosts never report endpoint/frame events, so they
             // need no audit slot — at fleet scale (16k mostly-abstract
             // hosts) registering everyone would buy nothing but heap.
-            for i in 0..n {
-                if cfg.fidelity.of(i as u32) == Fidelity::Full {
-                    a.register_host(i as u32, nic_cfg.frames);
+            for i in lo..hi {
+                if cfg.fidelity.of(i) == Fidelity::Full {
+                    a.register_host(i, nic_cfg.frames);
                 }
             }
         }
         let telemetry = if cfg.telemetry { Some(Telemetry::handle()) } else { None };
-        let mut hosts: Vec<HostSlot> = Vec::with_capacity(n);
-        for i in 0..n {
+        let mut hosts: Vec<HostSlot> = Vec::with_capacity((hi - lo) as usize);
+        for i in lo..hi {
             // Every host draws the same derived RNG stream whatever its
             // fidelity, so re-assigning fidelity never perturbs neighbors.
-            let rng = root.derive(0x7000 + i as u64);
-            match cfg.fidelity.of(i as u32) {
+            let rng = root.derive(0x7000 + u64::from(i));
+            match cfg.fidelity.of(i) {
                 Fidelity::Abstract => {
-                    hosts.push(HostSlot::Abstract(AbstractHost::new(HostId(i as u32), rng)));
+                    hosts.push(HostSlot::Abstract(AbstractHost::new(HostId(i), rng)));
                 }
                 Fidelity::Full => {
-                    let mut nic = Nic::new(HostId(i as u32), nic_cfg.clone(), cfg.seed);
+                    let mut nic = Nic::new(HostId(i), nic_cfg.clone(), cfg.seed);
                     if let Some(o) = &oracle {
                         nic.attach_route_oracle(Arc::clone(o));
                     }
                     let mut os =
-                        SegmentDriver::new(cfg.os.clone(), nic_cfg.frames, cfg.seed ^ (i as u64));
+                        SegmentDriver::new(cfg.os.clone(), nic_cfg.frames, cfg.seed ^ u64::from(i));
                     if cfg.audit {
                         nic.attach_auditor(auditor.clone());
                         nic.attach_trace(trace.clone());
-                        os.attach_instrumentation(i as u32, auditor.clone(), trace.clone());
+                        os.attach_instrumentation(i, auditor.clone(), trace.clone());
                     }
                     if let Some(tel) = &telemetry {
                         nic.attach_telemetry(tel.clone());
-                        os.attach_telemetry(i as u32, tel.clone());
+                        os.attach_telemetry(i, tel.clone());
                     }
                     hosts.push(HostSlot::Full(Box::new(FullHost {
                         nic,
@@ -733,14 +739,13 @@ impl World {
             fabric,
             hosts,
             keys: HashMap::new(),
-            key_rng: root.derive(0x4B45_5953),
             trace,
             auditor,
             telemetry,
             cfg,
             control: None,
             oracle,
-            base: 0,
+            base: lo,
             outbox: Vec::new(),
         }
     }
@@ -750,29 +755,43 @@ impl World {
         self.trace.borrow_mut()
     }
 
-    /// Number of hosts.
-    pub fn hosts(&self) -> usize {
-        self.hosts.len()
+    /// Global ids of the hosts this world owns.
+    pub fn host_ids(&self) -> std::ops::Range<usize> {
+        self.base as usize..self.base as usize + self.hosts.len()
     }
 
     // ------------------------------------------------------ host access
     //
-    // Accessors panic with a clear message on abstract slots: endpoints,
+    // Accessors take global host ids (the host must live in this world)
+    // and panic with a clear message on abstract slots: endpoints,
     // threads, and the NIC/OS machinery exist only at full fidelity.
 
-    /// The host slot at local index `h` (fidelity inspection, metrics).
+    /// The host slot of global host `h` (fidelity inspection, metrics).
     pub fn slot(&self, h: usize) -> &HostSlot {
-        &self.hosts[h]
+        &self.hosts[self.hx(h as u32)]
+    }
+
+    fn slot_mut(&mut self, h: usize) -> &mut HostSlot {
+        let i = self.hx(h as u32);
+        &mut self.hosts[i]
+    }
+
+    fn full(&self, h: usize) -> &FullHost {
+        self.slot(h).full_ref(h)
+    }
+
+    fn full_mut(&mut self, h: usize) -> &mut FullHost {
+        self.slot_mut(h).full_mut(h)
     }
 
     /// The fidelity of host `h`.
     pub fn fidelity_of(&self, h: usize) -> Fidelity {
-        self.hosts[h].fidelity()
+        self.slot(h).fidelity()
     }
 
     /// The NIC of host `h`, when `h` is full-fidelity.
     pub fn try_nic(&self, h: usize) -> Option<&Nic> {
-        match &self.hosts[h] {
+        match self.slot(h) {
             HostSlot::Full(f) => Some(&f.nic),
             HostSlot::Abstract(_) => None,
         }
@@ -780,34 +799,34 @@ impl World {
 
     /// The NIC of host `h` (panics on an abstract host).
     pub fn nic(&self, h: usize) -> &Nic {
-        &self.hosts[h].full_ref(h).nic
+        &self.full(h).nic
     }
 
     /// Mutable NIC of host `h` (panics on an abstract host).
     pub fn nic_mut(&mut self, h: usize) -> &mut Nic {
-        &mut self.hosts[h].full_mut(h).nic
+        &mut self.full_mut(h).nic
     }
 
     /// The segment driver of host `h` (panics on an abstract host).
     pub fn os(&self, h: usize) -> &SegmentDriver {
-        &self.hosts[h].full_ref(h).os
+        &self.full(h).os
     }
 
     /// Mutable segment driver of host `h` (panics on an abstract host) —
     /// pageout control, fault proxying.
     pub fn os_mut(&mut self, h: usize) -> &mut SegmentDriver {
-        &mut self.hosts[h].full_mut(h).os
+        &mut self.full_mut(h).os
     }
 
     /// The thread scheduler of host `h` (panics on an abstract host).
     pub fn sched(&self, h: usize) -> &Scheduler {
-        &self.hosts[h].full_ref(h).sched
+        &self.full(h).sched
     }
 
     /// User-level endpoint state on host `h` (None when the endpoint does
     /// not exist or the host is abstract).
     pub fn user_state(&self, h: usize, ep: EpId) -> Option<&UserEpState> {
-        match &self.hosts[h] {
+        match self.slot(h) {
             HostSlot::Full(f) => f.user.get(&ep),
             HostSlot::Abstract(_) => None,
         }
@@ -816,25 +835,25 @@ impl World {
     /// User-level endpoint state on host `h`, created if absent (panics
     /// on an abstract host).
     pub(crate) fn user_entry(&mut self, h: usize, ep: EpId) -> &mut UserEpState {
-        self.hosts[h].full_mut(h).user.entry(ep).or_default()
+        self.full_mut(h).user.entry(ep).or_default()
     }
 
     /// Remove user-level endpoint state on host `h`.
     pub(crate) fn user_remove(&mut self, h: usize, ep: EpId) {
-        self.hosts[h].full_mut(h).user.remove(&ep);
+        self.full_mut(h).user.remove(&ep);
     }
 
-    /// The abstract host at `h`, when that is what is registered.
+    /// The abstract host `h`, when that is what is registered.
     pub(crate) fn abstract_host_mut(&mut self, h: usize) -> Option<&mut AbstractHost> {
-        match &mut self.hosts[h] {
+        match self.slot_mut(h) {
             HostSlot::Abstract(a) => Some(a),
             HostSlot::Full(_) => None,
         }
     }
 
     /// Total sends denied by tenant byte quotas across every endpoint on
-    /// every full-fidelity host (the noisy-neighbor signal; `ctl.*`
-    /// telemetry surfaces it as `ctl.quota_denials`).
+    /// this world's full-fidelity hosts (the noisy-neighbor signal; `ctl.*`
+    /// telemetry surfaces the cluster sum as `ctl.quota_denials`).
     pub fn quota_denials(&self) -> u64 {
         self.hosts
             .iter()
@@ -851,29 +870,19 @@ impl World {
     /// Coarse counters of an abstract host (None for full-fidelity hosts,
     /// which report full `host{N}.nic.*` / `host{N}.os.*` stats instead).
     pub fn abs_stats(&self, h: usize) -> Option<&AbsStats> {
-        match &self.hosts[h] {
+        match self.slot(h) {
             HostSlot::Abstract(a) => Some(a.stats()),
             HostSlot::Full(_) => None,
         }
     }
 
     // ------------------------------------------------------- host indexing
-    //
-    // Events carry *global* host ids so they stay meaningful when the
-    // world is split into shard worlds, each owning the contiguous global
-    // range `[base, base + len)`. Handlers convert on entry.
 
     /// Local vector index of global host `gh` (must be owned).
     #[inline]
     fn hx(&self, gh: u32) -> usize {
-        debug_assert!(self.owns(gh), "event for host {gh} routed to the wrong shard");
+        debug_assert!(self.owns(gh), "host {gh} is not owned by this shard world");
         (gh - self.base) as usize
-    }
-
-    /// Global host id of local vector index `local`.
-    #[inline]
-    fn gh(&self, local: usize) -> u32 {
-        self.base + local as u32
     }
 
     /// Whether this world owns global host `gh`.
@@ -886,8 +895,8 @@ impl World {
 
     /// Apply segment-driver effects raised by a control-plane action inside
     /// an event handler (same split-borrow shape as [`World::dispatch`]).
-    fn ctl_apply_os(&mut self, h: usize, outs: Vec<OsOut>, ctx: &mut Ctx<'_, Event>) {
-        let gh = self.gh(h);
+    fn ctl_apply_os(&mut self, gh: u32, outs: Vec<OsOut>, ctx: &mut Ctx<'_, Event>) {
+        let h = self.hx(gh);
         let World { cfg, fabric, hosts, keys, trace, auditor, outbox, base, .. } = self;
         let len = hosts.len() as u32;
         let mut env = HostEnv { cfg, fabric, keys, trace, auditor, outbox, base: *base, len };
@@ -919,33 +928,31 @@ impl World {
         }) else {
             return;
         };
+        let h = host as usize;
         match phase {
             MigPhase::Drain if host == rec.from => {
-                let h = self.hx(host);
                 let mut outs = Vec::new();
-                self.hosts[h].full_mut(h).os.begin_migrate_out(now, rec.from_ep, &mut outs);
-                self.ctl_apply_os(h, outs, ctx);
+                self.full_mut(h).os.begin_migrate_out(now, rec.from_ep, &mut outs);
+                self.ctl_apply_os(host, outs, ctx);
             }
             MigPhase::CreateDst if host == rec.to && rec.state == MigState::Created => {
-                let h = self.hx(host);
                 let gep = GlobalEp::new(HostId(host), rec.to_ep);
                 let mut outs = Vec::new();
                 {
-                    let f = self.hosts[h].full_mut(h);
+                    let f = self.full_mut(h);
                     f.os.create_endpoint_with_id(now, rec.to_ep, rec.key, &mut outs);
                     f.user.entry(rec.to_ep).or_default();
                 }
-                self.keys.insert(gep, rec.key);
-                self.ctl_apply_os(h, outs, ctx);
+                self.ctl_apply_os(host, outs, ctx);
                 // Warm the new incarnation: a proxy fault starts the remap
                 // pipeline so it is resident before clients retarget.
                 let mut outs = Vec::new();
-                self.hosts[h].full_mut(h).os.proxy_fault(now, rec.to_ep, &mut outs);
-                self.ctl_apply_os(h, outs, ctx);
+                self.full_mut(h).os.proxy_fault(now, rec.to_ep, &mut outs);
+                self.ctl_apply_os(host, outs, ctx);
                 if let Some(factory) = factory {
                     let body = factory(gep);
                     let tid = self.spawn_thread_raw(h, body);
-                    let f = self.hosts[h].full_mut(h);
+                    let f = self.full_mut(h);
                     f.ctl_threads.insert(rec.to_ep, tid);
                     f.kick_cpu(host, ctx);
                 }
@@ -954,7 +961,6 @@ impl World {
                 let target = GlobalEp::new(HostId(rec.to), rec.to_ep);
                 for (ch, cep, idx) in conns {
                     if ch == host {
-                        let h = self.hx(host);
                         self.user_entry(h, cep).set_translation(idx, target, rec.key);
                     }
                 }
@@ -966,10 +972,9 @@ impl World {
                 // served out before the endpoint is destroyed, so no
                 // message silently loses its fate (and no client wedges on
                 // a credit whose reply died with the source image).
-                let h = self.hx(host);
                 let mut outs = Vec::new();
-                self.hosts[h].full_mut(h).os.end_migrate_hold(now, rec.from_ep, &mut outs);
-                self.ctl_apply_os(h, outs, ctx);
+                self.full_mut(h).os.end_migrate_hold(now, rec.from_ep, &mut outs);
+                self.ctl_apply_os(host, outs, ctx);
                 self.ctl_retire(now, host, rec.from_ep, 0, ctx);
             }
             _ => {}
@@ -984,8 +989,8 @@ impl World {
     /// partitioned fabric must not pin the source host forever) and any
     /// still-queued sends resolve as aborted in the audit ledger.
     fn ctl_retire(&mut self, now: SimTime, host: u32, ep: EpId, polls: u32, ctx: &mut Ctx<'_, Event>) {
-        let h = self.hx(host);
-        let f = self.hosts[h].full_mut(h);
+        let h = host as usize;
+        let f = self.full_mut(h);
         if !f.os.exists(ep) {
             return; // already torn down
         }
@@ -995,7 +1000,7 @@ impl World {
             // sends re-enters the remap pipeline so they reach the wire.
             let mut outs = Vec::new();
             f.os.nudge_drain(now, ep, &mut outs);
-            self.ctl_apply_os(h, outs, ctx);
+            self.ctl_apply_os(host, outs, ctx);
             ctx.schedule(CTL_RETIRE_POLL, Event::CtlRetire { host, ep, polls: polls + 1 });
             return;
         }
@@ -1006,25 +1011,27 @@ impl World {
                 format!("ep {} drain bound expired after {polls} polls; forcing free", ep.0)
             }
         });
-        if let Some(tid) = self.hosts[h].full_mut(h).ctl_threads.remove(&ep) {
+        if let Some(tid) = self.full_mut(h).ctl_threads.remove(&ep) {
             self.kill_thread(h, tid);
-            self.hosts[h].full_mut(h).kick_cpu(host, ctx);
+            self.full_mut(h).kick_cpu(host, ctx);
         }
         let mut outs = Vec::new();
-        self.hosts[h].full_mut(h).os.complete_migrate_out(now, ep, &mut outs);
-        self.ctl_apply_os(h, outs, ctx);
+        self.full_mut(h).os.complete_migrate_out(now, ep, &mut outs);
+        self.ctl_apply_os(host, outs, ctx);
         self.user_remove(h, ep);
+        // Host-local: other shard worlds keep the retired key, which only
+        // addresses an endpoint that no longer exists.
         self.keys.remove(&GlobalEp::new(HostId(host), ep));
         // Late frames addressed to the old incarnation now return to their
         // senders as undeliverable — the designed path.
         self.auditor.borrow_mut().on_endpoint_destroyed(host, ep.0);
     }
 
-    /// Split-borrow helper: the slot at local index `h` plus the
+    /// Split-borrow helper: the slot of global host `gh` plus the
     /// [`HostEnv`] over every other field, ready for [`HostModel`]
     /// dispatch.
-    fn dispatch(&mut self, h: usize, ev: Event, ctx: &mut Ctx<'_, Event>) {
-        let gh = self.gh(h);
+    fn dispatch(&mut self, gh: u32, ev: Event, ctx: &mut Ctx<'_, Event>) {
+        let h = self.hx(gh);
         let World { cfg, fabric, hosts, keys, trace, auditor, outbox, base, .. } = self;
         let len = hosts.len() as u32;
         let mut env = HostEnv { cfg, fabric, keys, trace, auditor, outbox, base: *base, len };
@@ -1033,28 +1040,26 @@ impl World {
 
     // ----------------------------------------------------- setup (no ctx)
 
-    /// Allocate an endpoint on `host` with a fresh protection key.
-    /// Effects are returned for the caller (the [`crate::Cluster`] facade)
-    /// to inject into the engine. Panics if `host` is abstract.
+    /// Allocate an endpoint on `host` under protection key `key` (drawn
+    /// by the caller from the cluster's one key stream). Effects are
+    /// returned for the caller (the [`crate::Cluster`] facade) to inject
+    /// into the engine. Panics if `host` is abstract.
     pub(crate) fn create_endpoint_raw(
         &mut self,
         now: SimTime,
         host: usize,
+        key: ProtectionKey,
     ) -> (GlobalEp, Vec<OsOut>) {
-        let gh = self.gh(host);
-        let key = ProtectionKey(self.key_rng.below(u64::MAX - 1) + 1);
-        let f = self.hosts[host].full_mut(host);
+        let f = self.full_mut(host);
         let mut outs = Vec::new();
         let ep = f.os.create_endpoint(now, key, &mut outs);
         f.user.entry(ep).or_default();
-        let gep = GlobalEp::new(HostId(gh), ep);
-        self.keys.insert(gep, key);
-        (gep, outs)
+        (GlobalEp::new(HostId(host as u32), ep), outs)
     }
 
     /// Spawn a thread with `body` on `host`. Panics if `host` is abstract.
     pub(crate) fn spawn_thread_raw(&mut self, host: usize, body: Box<dyn ThreadBody>) -> Tid {
-        let f = self.hosts[host].full_mut(host);
+        let f = self.full_mut(host);
         let tid = f.sched.spawn();
         f.threads.insert(tid, ThreadRec { body: Some(body), pending_compute: SimDuration::ZERO });
         tid
@@ -1063,12 +1068,12 @@ impl World {
     /// Record `tid` as the control-plane service thread for `ep` on `host`
     /// (killed when the endpoint migrates away).
     pub(crate) fn note_ctl_thread(&mut self, host: usize, ep: EpId, tid: Tid) {
-        self.hosts[host].full_mut(host).ctl_threads.insert(ep, tid);
+        self.full_mut(host).ctl_threads.insert(ep, tid);
     }
 
     /// Immutable access to a thread body, downcast to its concrete type.
     pub fn body<T: ThreadBody>(&self, host: usize, tid: Tid) -> Option<&T> {
-        let HostSlot::Full(f) = &self.hosts[host] else { return None };
+        let HostSlot::Full(f) = self.slot(host) else { return None };
         let rec = f.threads.get(&tid)?;
         let body = rec.body.as_deref()?;
         (body as &dyn std::any::Any).downcast_ref::<T>()
@@ -1076,7 +1081,7 @@ impl World {
 
     /// Mutable access to a thread body, downcast to its concrete type.
     pub fn body_mut<T: ThreadBody>(&mut self, host: usize, tid: Tid) -> Option<&mut T> {
-        let HostSlot::Full(f) = &mut self.hosts[host] else { return None };
+        let HostSlot::Full(f) = self.slot_mut(host) else { return None };
         let rec = f.threads.get_mut(&tid)?;
         let body = rec.body.as_deref_mut()?;
         (body as &mut dyn std::any::Any).downcast_mut::<T>()
@@ -1085,7 +1090,7 @@ impl World {
     /// Forcibly terminate a thread (process exit): its body is dropped and
     /// it will never be scheduled again.
     pub(crate) fn kill_thread(&mut self, host: usize, tid: Tid) {
-        let f = self.hosts[host].full_mut(host);
+        let f = self.full_mut(host);
         if let Some(rec) = f.threads.get_mut(&tid) {
             rec.body = None;
             rec.pending_compute = SimDuration::ZERO;
@@ -1102,8 +1107,7 @@ impl World {
         host: usize,
         now: SimTime,
     ) -> Option<(SimDuration, Event)> {
-        let gh = self.gh(host);
-        let f = self.hosts[host].full_mut(host);
+        let f = self.full_mut(host);
         let ready = now.max(f.cpu.busy_until);
         if f.cpu.sched_at <= ready {
             return None;
@@ -1111,149 +1115,7 @@ impl World {
         f.cpu.gen += 1;
         f.cpu.sched_at = ready;
         let gen = f.cpu.gen;
-        Some((ready - now, Event::Cpu { host: gh, gen }))
-    }
-
-    // ------------------------------------------------- parallel sharding
-
-    /// Split this world into one world per partition shard, leaving `self`
-    /// an empty husk that retains the canonical fabric, trace, auditor,
-    /// and telemetry. Host slots move wholesale — whatever their fidelity
-    /// — so each shard world is a closed `Rc` graph suitable for
-    /// [`vnet_sim::SendCell`].
-    pub(crate) fn split_shards(&mut self, part: &Partition) -> Vec<World> {
-        let n = part.shards();
-        let mut out: Vec<Option<World>> = (0..n).map(|_| None).collect();
-        // Tail-first so each `split_range` peels the current vector tail.
-        for s in (0..n).rev() {
-            let (lo, hi) = part.range(s);
-            out[s as usize] = Some(self.split_range(lo, hi));
-        }
-        out.into_iter().map(Option::unwrap).collect()
-    }
-
-    /// Peel global hosts `[lo, hi)` — currently the tail of the host
-    /// vector — into a shard world with its own observability sinks.
-    fn split_range(&mut self, lo: u32, hi: u32) -> World {
-        debug_assert_eq!(self.base, 0, "split_range on a shard world");
-        debug_assert_eq!(self.hosts.len(), hi as usize, "shards must split tail-first");
-        let mut hosts = self.hosts.split_off(lo as usize);
-        let trace: TraceHandle = Rc::new(RefCell::new(self.trace.borrow().split_shard()));
-        let auditor: AuditHandle = {
-            let mut shard = self.auditor.borrow_mut().split_shard(lo, hi);
-            shard.set_trace(trace.clone());
-            Rc::new(RefCell::new(shard))
-        };
-        if self.cfg.audit {
-            for (i, slot) in hosts.iter_mut().enumerate() {
-                if let HostSlot::Full(f) = slot {
-                    f.nic.attach_auditor(auditor.clone());
-                    f.nic.attach_trace(trace.clone());
-                    f.os.attach_instrumentation(lo + i as u32, auditor.clone(), trace.clone());
-                }
-            }
-        }
-        let telemetry = self.telemetry.as_ref().map(|main| {
-            let tel: TelemetryHandle = Rc::new(RefCell::new(main.borrow().split_shard()));
-            for slot in hosts.iter_mut() {
-                if let HostSlot::Full(f) = slot {
-                    f.nic.rebind_telemetry(tel.clone());
-                    f.os.rebind_telemetry(tel.clone());
-                }
-            }
-            // Rebind registered this shard's metric names at zero; pull
-            // their current values so counters keep accumulating.
-            tel.borrow_mut().adopt_values(&main.borrow());
-            tel
-        });
-        World {
-            cfg: self.cfg.clone(),
-            fabric: self.fabric.split_shard(),
-            hosts,
-            keys: self.keys.clone(),
-            trace,
-            auditor,
-            telemetry,
-            control: self.control.clone(),
-            oracle: self.oracle.clone(),
-            key_rng: self.key_rng.clone(),
-            base: lo,
-            outbox: Vec::new(),
-        }
-    }
-
-    /// Inverse of [`World::split_shards`]: host state returns in order,
-    /// the canonical fabric copies back each shard's owned link and fault
-    /// state, and the observability sinks merge deterministically (trace
-    /// entries re-sorted, auditor ledgers fate-joined, telemetry published
-    /// by name).
-    pub(crate) fn absorb_shards(&mut self, shards: Vec<World>, part: &Partition) {
-        let mut shard_auditors = Vec::with_capacity(shards.len());
-        for (s, shard) in shards.into_iter().enumerate() {
-            let World {
-                cfg: _,
-                fabric,
-                mut hosts,
-                keys: _,
-                trace,
-                auditor,
-                telemetry,
-                control,
-                oracle: _,
-                key_rng: _,
-                base,
-                outbox,
-            } = shard;
-            debug_assert!(outbox.is_empty(), "cross-shard mail left unpublished");
-            // Every shard's control copy evolved identically; adopt the
-            // first one as the merged coordinator state.
-            if s == 0 && control.is_some() {
-                self.control = control;
-            }
-            let (lo, hi) = part.range(s as u32);
-            debug_assert_eq!(base, lo);
-            debug_assert_eq!(self.hosts.len(), lo as usize, "shards must absorb in order");
-            self.fabric.absorb_shard(&fabric, lo, hi, |l| part.link_owner(l) == s as u32);
-            if self.cfg.audit {
-                for (i, slot) in hosts.iter_mut().enumerate() {
-                    if let HostSlot::Full(f) = slot {
-                        f.nic.attach_auditor(self.auditor.clone());
-                        f.nic.attach_trace(self.trace.clone());
-                        f.os.attach_instrumentation(
-                            lo + i as u32,
-                            self.auditor.clone(),
-                            self.trace.clone(),
-                        );
-                    }
-                }
-            }
-            if let Some(main) = &self.telemetry {
-                for slot in hosts.iter_mut() {
-                    if let HostSlot::Full(f) = slot {
-                        f.nic.rebind_telemetry(main.clone());
-                        f.os.rebind_telemetry(main.clone());
-                    }
-                }
-                main.borrow_mut().absorb_shard(unwrap_handle(telemetry.expect("shard telemetry")));
-            }
-            self.hosts.append(&mut hosts);
-            // The shard auditor holds the shard trace handle; re-point it
-            // at the main ring before unwrapping the shard ring below.
-            let mut a = unwrap_handle(auditor);
-            a.set_trace(self.trace.clone());
-            shard_auditors.push(a);
-            self.trace.borrow_mut().absorb_shard(unwrap_handle(trace));
-        }
-        self.auditor.borrow_mut().absorb_shards(shard_auditors);
-    }
-}
-
-/// Recover sole ownership of a shard-local `Rc<RefCell<_>>` handle after
-/// every component clone has been re-pointed at the main handles.
-fn unwrap_handle<T>(h: Rc<RefCell<T>>) -> T {
-    match Rc::try_unwrap(h) {
-        Ok(cell) => cell.into_inner(),
-        Err(_) => panic!("shard observability handle still shared at absorb"),
+        Some((ready - now, Event::Cpu { host: host as u32, gen }))
     }
 }
 
@@ -1278,7 +1140,7 @@ impl SimWorld for World {
                     self.fabric.faults_mut().apply(&op);
                 }
                 // Observability fires once globally (host 0 lives on the
-                // first shard, whose trace/telemetry absorb first).
+                // first shard).
                 if host == 0 {
                     self.trace
                         .borrow_mut()
@@ -1301,6 +1163,13 @@ impl SimWorld for World {
                         .as_mut()
                         .expect("control event scheduled without a control plane");
                     ctl.process(now, kseq, &op, oracle.as_deref());
+                    // A created migration destination's key is replicated
+                    // state: every world learns it at this same instant.
+                    if let CtlOp::Mig { id, phase: MigPhase::CreateDst } = op {
+                        if let Some(rec) = ctl.migration(id).filter(|r| r.state == MigState::Created) {
+                            self.keys.insert(GlobalEp::new(HostId(rec.to), rec.to_ep), rec.key);
+                        }
+                    }
                 }
                 // Every host copy schedules its own broadcast of the
                 // follow-ups the decision produced, so each shard's wheel
@@ -1332,10 +1201,7 @@ impl SimWorld for World {
             }
             // Every remaining event is addressed to one host; dispatch
             // through its registered model.
-            ev => {
-                let h = self.hx(ev.target_host());
-                self.dispatch(h, ev, ctx);
-            }
+            ev => self.dispatch(ev.target_host(), ev, ctx),
         }
     }
 }

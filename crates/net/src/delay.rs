@@ -6,7 +6,7 @@
 //! reserved, so concurrent packets glide past each other and contention
 //! effects (incast collapse, trunk queueing, the Figure 8 saturation
 //! knee) vanish. In exchange every injection is O(route length) with no
-//! reservation state to split and merge across parallel shards.
+//! reservation state.
 //!
 //! What is **kept** bit-for-bit from the full fabric:
 //!
@@ -135,41 +135,6 @@ impl DelayFabric {
             head += if i + 1 < len { self.latency[l] } else { SimDuration::ZERO };
         }
         head
-    }
-
-    /// Shard copy for a parallel run (same discipline as
-    /// [`crate::Fabric::split_shard`]: clone everything, exercise only the
-    /// owned sources/links).
-    pub fn split_shard(&self) -> DelayFabric {
-        DelayFabric {
-            cfg: self.cfg.clone(),
-            topo: self.topo.clone(),
-            faults: self.faults.clone(),
-            latency: self.latency.clone(),
-            stats: self.stats.clone(),
-            ingress_seq: self.ingress_seq.clone(),
-            route_buf: Vec::new(),
-        }
-    }
-
-    /// Copy back the state a shard owns: counters for owned links, fault
-    /// streams and ingress sequences for source hosts `lo..hi`.
-    pub fn absorb_shard(
-        &mut self,
-        sh: &DelayFabric,
-        lo: u32,
-        hi: u32,
-        owns_link: impl Fn(LinkId) -> bool,
-    ) {
-        for l in 0..self.stats.len() {
-            if owns_link(LinkId(l as u32)) {
-                self.stats[l] = sh.stats[l].clone();
-            }
-        }
-        self.faults.absorb_shard(&sh.faults, lo, hi);
-        for s in (lo as usize)..(hi as usize).min(sh.ingress_seq.len()) {
-            self.ingress_seq[s] = sh.ingress_seq[s];
-        }
     }
 }
 

@@ -256,39 +256,6 @@ impl Fabric {
         }
         head
     }
-
-    /// A full copy of the reservation state for one shard of a parallel
-    /// run. Every shard clones the whole fabric (cheap: a few `Vec`s) but
-    /// only ever *exercises* the links and sources it owns; the owned
-    /// slices are copied back by [`Fabric::absorb_shard`].
-    pub fn split_shard(&self) -> Fabric {
-        Fabric {
-            cfg: self.cfg.clone(),
-            topo: self.topo.clone(),
-            faults: self.faults.clone(),
-            busy_until: self.busy_until.clone(),
-            latency: self.latency.clone(),
-            stats: self.stats.clone(),
-            ingress_seq: self.ingress_seq.clone(),
-            route_buf: Vec::new(),
-        }
-    }
-
-    /// Copy back the state a shard owns: reservation times and counters
-    /// for links where `owns_link` holds, plus fault streams and ingress
-    /// sequences for source hosts `lo..hi`.
-    pub fn absorb_shard(&mut self, sh: &Fabric, lo: u32, hi: u32, owns_link: impl Fn(LinkId) -> bool) {
-        for l in 0..self.busy_until.len() {
-            if owns_link(LinkId(l as u32)) {
-                self.busy_until[l] = sh.busy_until[l];
-                self.stats[l] = sh.stats[l].clone();
-            }
-        }
-        self.faults.absorb_shard(&sh.faults, lo, hi);
-        for s in (lo as usize)..(hi as usize).min(sh.ingress_seq.len()) {
-            self.ingress_seq[s] = sh.ingress_seq[s];
-        }
-    }
 }
 
 /// Fabric-wide aggregates over every link, enumerated generically

@@ -353,26 +353,6 @@ impl FaultPlan {
     pub fn corruptions(&self) -> u64 {
         self.counts().corrupted
     }
-
-    /// Copy back the per-source streams and counters owned by hosts
-    /// `lo..hi` from a shard's plan (which started as a clone of this
-    /// one), and adopt the shard's down/degraded link state. Campaigns
-    /// deliver [`FaultOp`]s to every shard at exact simulated times, so by
-    /// an epoch barrier all shards (and the sequential plan in a 1-shard
-    /// run) agree on link state — adopting any shard's copy is correct,
-    /// and also covers the administrative `link_down`/`link_up` case where
-    /// nothing changes mid-run. Gilbert–Elliott chains need no merging:
-    /// they are pure functions of `(link seed, time)` and lazily catch up.
-    pub fn absorb_shard(&mut self, sh: &FaultPlan, lo: u32, hi: u32) {
-        let hi = (hi as usize).min(sh.streams.len());
-        for s in (lo as usize)..hi {
-            self.grow_to(s as u32);
-            self.streams[s] = sh.streams[s].clone();
-            self.counts[s] = sh.counts[s];
-        }
-        self.down.clone_from(&sh.down);
-        self.degraded.clone_from(&sh.degraded);
-    }
 }
 
 #[cfg(test)]
@@ -515,46 +495,5 @@ mod tests {
         let rate = drops as f64 / n as f64;
         assert!((0.2..0.6).contains(&rate), "rate={rate}");
         assert_eq!(p.counts().burst as u32, drops, "all drops are burst drops");
-    }
-
-    #[test]
-    fn absorb_shard_carries_stream_state_home() {
-        let mut main = FaultPlan::with_errors(9, 0.5, 0.0);
-        // Warm up host 1's stream on the main plan, then continue it on a
-        // shard clone and absorb back: the next draw must continue the
-        // sequence, not restart it.
-        let t = SimTime::ZERO;
-        for _ in 0..10 {
-            main.judge(t, 1, &[LinkId(0)]);
-        }
-        let mut expect = main.clone();
-        let mut shard = main.clone();
-        for _ in 0..5 {
-            shard.judge(t, 1, &[LinkId(0)]);
-        }
-        main.absorb_shard(&shard, 1, 2);
-        for _ in 0..5 {
-            expect.judge(t, 1, &[LinkId(0)]);
-        }
-        assert_eq!(main.judge(t, 1, &[LinkId(0)]), expect.judge(t, 1, &[LinkId(0)]));
-        assert_eq!(main.drops(), expect.drops());
-    }
-
-    #[test]
-    fn absorb_shard_adopts_mid_run_link_state() {
-        // A campaign flips links while sharded: ops are applied to the
-        // shard's plan copy; absorbing must bring the new down/degraded
-        // state home so post-run (and next-epoch) judging sees it.
-        let mut main = FaultPlan::none(3);
-        let mut shard = main.clone();
-        shard.apply(&FaultOp::LinkDown(LinkId(7)));
-        shard.apply(&FaultOp::Degrade(LinkId(8), 0.9, 0.0));
-        main.absorb_shard(&shard, 0, 4);
-        assert!(main.is_down(LinkId(7)));
-        assert_eq!(
-            main.judge(SimTime::ZERO, 0, &[LinkId(7)]),
-            Some(DropReason::LinkDown)
-        );
-        assert_eq!(main.degrade_rates(&[LinkId(8)]), (0.9, 0.0));
     }
 }

@@ -196,7 +196,7 @@ pub struct Nic {
     /// Unified telemetry (hooks are no-ops when detached).
     tel: Option<NicTelemetry>,
     /// Scheduled-fault route oracle (campaign failover planning); `None`
-    /// outside fault campaigns. Shared plain data, safe across shard moves.
+    /// outside fault campaigns. Shared read-only plain data (one per cluster).
     oracle: Option<Arc<RouteOracle>>,
     /// Scratch route buffer for oracle queries.
     oracle_buf: Vec<LinkId>,
@@ -269,15 +269,6 @@ impl Nic {
     /// `nic.chan` / `nic.dma` / `nic.fw` tracks.
     pub fn attach_telemetry(&mut self, tel: TelemetryHandle) {
         self.tel = Some(NicTelemetry::new(self.host.0, tel));
-    }
-
-    /// Re-point existing telemetry wiring at another registry (used when a
-    /// host migrates between the main world and a shard), preserving any
-    /// open retransmit/park spans. No-op while telemetry is detached.
-    pub fn rebind_telemetry(&mut self, tel: TelemetryHandle) {
-        if let Some(t) = &mut self.tel {
-            t.rebind(tel);
-        }
     }
 
     /// Attach the fault campaign's route oracle. Scheduled down windows

@@ -88,19 +88,6 @@ impl NicTelemetry {
         self.counters.as_ref().expect("just resolved")
     }
 
-    /// Point this wiring at a different registry (a shard's at split, the
-    /// main one at absorb), re-resolving any touched counter handles by
-    /// name (so `adopt_values` carries their counts across the boundary)
-    /// and keeping the open-span maps so episodes spanning a shard
-    /// boundary still close with their original ids. Untouched counters
-    /// stay lazy — an idle host pays nothing at every split.
-    pub(crate) fn rebind(&mut self, tel: TelemetryHandle) {
-        if self.counters.is_some() {
-            self.counters = Some(NicCounters::resolve(self.host, &tel));
-        }
-        self.tel = tel;
-    }
-
     /// Record a whole DMA transfer span (`at` → `done`). This is the one
     /// per-message span hook, so the detail is the allocation-free
     /// [`SpanDetail::Bytes`], not a formatted string.

@@ -238,15 +238,6 @@ impl SegmentDriver {
         self.tel = Some(OsTelemetry::new(host, tel));
     }
 
-    /// Re-point existing telemetry wiring at another registry (used when a
-    /// host migrates between the main world and a shard), preserving any
-    /// open residency spans. No-op while telemetry is detached.
-    pub fn rebind_telemetry(&mut self, tel: TelemetryHandle) {
-        if let Some(t) = &mut self.tel {
-            t.tel = tel;
-        }
-    }
-
     fn audit(&self, f: impl FnOnce(&mut Auditor)) {
         if let Some(a) = &self.auditor {
             f(&mut a.borrow_mut());

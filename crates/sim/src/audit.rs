@@ -117,19 +117,20 @@ impl EpPhase {
     }
 }
 
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct ChanAudit {
     in_flight: Option<u64>,
     last_seq: Option<u64>,
 }
 
+#[derive(Clone)]
 struct HostAudit {
     frames_total: u32,
     occupied: u32,
     phases: FxHashMap<u32, EpPhase>,
 }
 
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct CreditAudit {
     /// uid → translation index it consumed a credit for.
     held: FxHashMap<u64, usize>,
@@ -315,10 +316,9 @@ impl Auditor {
 
     /// A message was discarded unresolved (owning endpoint torn down or
     /// its staged DMA aborted). Resolved fates are left untouched. An
-    /// unknown uid records `Aborted` as well: in a shard auditor (whose
-    /// ledger starts empty each run) "unknown" usually means "posted in
-    /// an earlier run", and the merge join keeps any resolved fate the
-    /// merged ledger already holds.
+    /// unknown uid records `Aborted` as well (partial instrumentation
+    /// stays usable), and [`Auditor::fold`] lets any resolved fate
+    /// another shard holds win over it.
     pub fn on_send_aborted(&mut self, _at: SimTime, _host: u32, uid: u64) {
         self.counters.aborted += 1;
         match self.ledger.get(&uid) {
@@ -444,7 +444,7 @@ impl Auditor {
     /// every uid ever posted must have a resolved fate — delivered,
     /// bounced, or aborted. A uid still `Posted` means the protocol
     /// failed to recover after the final `link_up`. Call after the run,
-    /// on the merged auditor.
+    /// on the folded auditor (see [`Auditor::fold`]).
     pub fn check_recovery(&mut self, now: SimTime, horizon: SimTime, bound: SimDuration) {
         if now < horizon + bound {
             return;
@@ -538,7 +538,7 @@ impl Auditor {
 
     /// Per-tenant byte-quota conservation: for every `(tenant, epoch)`
     /// account, admitted bytes must not exceed the declared allowance.
-    /// Call after the run on the merged auditor (per-shard accounts are
+    /// Call after the run on the folded auditor (per-shard accounts are
     /// partial sums; only the merged total is meaningful).
     pub fn check_tenant_quota(&mut self) {
         let mut over: Vec<(u32, u64, u64)> = self
@@ -734,102 +734,105 @@ impl Auditor {
         }
     }
 
-    // ---------------------------------------------------- shard split/merge
+    // ----------------------------------------------------- shard fold
 
-    /// Carve out the auditor state for hosts `lo..hi`, for one shard of a
-    /// parallel run. Per-host model state (channel bindings keyed by
-    /// source host, credit windows, residency mirrors) *moves* to the
-    /// shard so cross-run protocol episodes stay seamless; the delivery
-    /// ledger starts empty (a uid can be touched by two shards — posted
-    /// on one, delivered on another — so fates are joined at merge
-    /// instead), and violations/counters accumulate per run and are
-    /// summed back. The shard's trace handle is left unset; the caller
-    /// attaches the shard's own ring.
-    pub fn split_shard(&mut self, lo: u32, hi: u32) -> Auditor {
-        let mut shard = Auditor::new(self.credit_limit);
-        let in_range = |h: u32| h >= lo && h < hi;
-        shard.channels.extend(self.channels.extract_if(|k, _| in_range(k.0)));
-        shard.credits.extend(self.credits.extract_if(|k, _| in_range(k.0)));
-        shard.hosts.extend(self.hosts.extract_if(|k, _| in_range(*k)));
-        // Tenant declarations are read-mostly reference data: cloned to the
-        // shard (bind_tenant on a migration target must resolve locally).
-        // Per-epoch byte accounts start empty and sum at merge.
-        shard.tenants = self.tenants.clone();
-        shard.ep_tenant.extend(self.ep_tenant.extract_if(|k, _| in_range(k.0)));
-        shard
-    }
-
-    /// Merge shard auditors back after a parallel run. Host-keyed state
-    /// moves home, counters and violation totals sum, and ledger fates
-    /// join: `Posted`/`Aborted` yield to a resolved fate, while two
-    /// resolved fates for one uid are the cross-shard form of an
-    /// exactly-once violation. Kept violations from all shards are
-    /// canonicalized by `(time, host)` so the report is identical to a
-    /// sequential run's (see [`Auditor::canonicalize_violations`]).
-    pub fn absorb_shards(&mut self, shards: Vec<Auditor>) {
-        let mut incoming: Vec<Violation> = Vec::new();
-        for mut sh in shards {
-            self.channels.extend(sh.channels.drain());
-            self.credits.extend(sh.credits.drain());
-            self.hosts.extend(sh.hosts.drain());
-            self.ep_tenant.extend(sh.ep_tenant.drain());
-            for ((t, e), b) in sh.tenant_bytes.drain() {
-                *self.tenant_bytes.entry((t, e)).or_insert(0) += b;
+    /// Fold per-shard auditors into one cluster-wide view, a pure
+    /// function of their state. Host-keyed state is disjoint across
+    /// shards (every host reports into its own shard's auditor) and
+    /// unions; tenant declarations are replicated and taken once;
+    /// counters, violation totals and per-epoch tenant bytes sum; and
+    /// ledger fates join. A uid can be touched by two shards — posted on
+    /// one, delivered on another — so `Posted`/`Aborted` yield to a
+    /// resolved fate, while two resolved fates for one uid are the
+    /// cross-shard form of an exactly-once violation. Kept violations are
+    /// put in canonical `(time, host)` order, so the report is identical
+    /// to a sequential run's. The fold has no trace ring attached.
+    pub fn fold<'a>(shards: impl IntoIterator<Item = &'a Auditor>) -> Auditor {
+        let mut out: Option<Auditor> = None;
+        let mut joined: Vec<Violation> = Vec::new();
+        for sh in shards {
+            let f = out.get_or_insert_with(|| Auditor {
+                tenants: sh.tenants.clone(),
+                ..Auditor::new(sh.credit_limit)
+            });
+            f.channels.extend(sh.channels.iter().map(|(k, v)| (*k, v.clone())));
+            f.credits.extend(sh.credits.iter().map(|(k, v)| (*k, v.clone())));
+            f.hosts.extend(sh.hosts.iter().map(|(k, v)| (*k, v.clone())));
+            f.ep_tenant.extend(sh.ep_tenant.iter().map(|(k, v)| (*k, *v)));
+            for (&k, &b) in &sh.tenant_bytes {
+                *f.tenant_bytes.entry(k).or_insert(0) += b;
             }
             let c = sh.counters;
-            self.counters.posted += c.posted;
-            self.counters.delivered += c.delivered;
-            self.counters.bounced += c.bounced;
-            self.counters.aborted += c.aborted;
-            self.counters.duplicates_filtered += c.duplicates_filtered;
-            self.counters.retransmits += c.retransmits;
-            self.counters.unbinds += c.unbinds;
-            self.counters.stale_timers_suppressed += c.stale_timers_suppressed;
-            self.counters.failovers += c.failovers;
-            self.total_violations += sh.total_violations;
-            incoming.append(&mut sh.violations);
-            for (uid, fate) in sh.ledger.drain() {
+            f.counters.posted += c.posted;
+            f.counters.delivered += c.delivered;
+            f.counters.bounced += c.bounced;
+            f.counters.aborted += c.aborted;
+            f.counters.duplicates_filtered += c.duplicates_filtered;
+            f.counters.retransmits += c.retransmits;
+            f.counters.unbinds += c.unbinds;
+            f.counters.stale_timers_suppressed += c.stale_timers_suppressed;
+            f.counters.failovers += c.failovers;
+            f.total_violations += sh.total_violations;
+            f.violations.extend(sh.violations.iter().cloned());
+            for (&uid, &fate) in &sh.ledger {
                 use MsgFate::*;
-                match self.ledger.get(&uid).copied() {
-                    // Provisional states (unknown / posted / aborted-on-
-                    // unknown, see `on_send_aborted`) yield to whatever the
-                    // shard learned; a provisional incoming fate only fills
-                    // an empty slot.
+                match f.ledger.get(&uid).copied() {
+                    // Provisional states (unknown / posted / aborted) yield
+                    // to whatever another shard learned; a provisional
+                    // incoming fate only fills an empty slot.
                     None => {
-                        self.ledger.insert(uid, fate);
+                        f.ledger.insert(uid, fate);
                     }
                     Some(Posted) | Some(Aborted) if fate != Posted => {
-                        self.ledger.insert(uid, fate);
+                        f.ledger.insert(uid, fate);
                     }
                     Some(Posted) | Some(Aborted) => {}
                     Some(prev @ (Delivered | Bounced)) => {
                         if fate == Delivered || fate == Bounced {
-                            self.total_violations += 1;
-                            if self.violations.len() + incoming.len() < MAX_KEPT_VIOLATIONS {
-                                incoming.push(Violation {
-                                    invariant: "audit.exactly-once",
-                                    at: SimTime::ZERO,
-                                    host: u32::MAX,
-                                    tenant: None,
-                                    detail: format!(
-                                        "uid {uid} resolved twice across shards: {prev:?} then {fate:?}"
-                                    ),
-                                });
-                            }
+                            f.total_violations += 1;
+                            joined.push(Violation {
+                                invariant: "audit.exactly-once",
+                                at: SimTime::ZERO,
+                                host: u32::MAX,
+                                tenant: None,
+                                detail: format!(
+                                    "uid {uid} resolved twice across shards: {prev:?} then {fate:?}"
+                                ),
+                            });
                         }
                     }
                 }
             }
         }
-        self.violations.append(&mut incoming);
-        self.canonicalize_violations();
+        let mut out = out.unwrap_or_default();
+        out.violations.append(&mut joined);
+        out.canonicalize_violations();
+        out
+    }
+
+    /// Keep violations a cluster-wide check found on a [`Auditor::fold`]:
+    /// `found` are the kept records, `total` the full count. They are
+    /// traced and retained like this auditor's own, so every later fold
+    /// reports them.
+    pub fn record_found(&mut self, found: &[Violation], total: u64) {
+        self.total_violations += total;
+        for v in found {
+            if let Some(t) = &self.trace {
+                t.borrow_mut().record_with(v.at, v.host, "audit.violation", || {
+                    format!("{}: {}", v.invariant, v.detail)
+                });
+            }
+            if self.violations.len() < MAX_KEPT_VIOLATIONS {
+                self.violations.push(v.clone());
+            }
+        }
     }
 
     /// Impose the canonical `(time, host)` order on the kept violations
     /// (stable, so each host's chronological sub-order survives) and trim
-    /// to the keep window. Both executors call this at run boundaries, so
-    /// reports never depend on cross-host processing order.
-    pub fn canonicalize_violations(&mut self) {
+    /// to the keep window, so reports never depend on cross-host
+    /// processing order.
+    fn canonicalize_violations(&mut self) {
         self.violations.sort_by_key(|v| (v.at, v.host));
         self.violations.truncate(MAX_KEPT_VIOLATIONS);
     }
@@ -1045,65 +1048,70 @@ mod tests {
     }
 
     #[test]
-    fn split_moves_host_state_and_absorb_brings_it_home() {
+    fn fold_joins_ledger_fates_across_shards() {
         let mut a = Auditor::new(32);
-        a.register_host(0, 2);
-        a.register_host(1, 2);
-        a.os_created(t(0), 1, 0);
-        a.on_credit_acquire(t(1), 1, 0, 3, 900);
-        let mut sh = a.split_shard(1, 2);
-        // Host 1's phases and credit window travelled with the shard: the
-        // release is matched there, not on the main auditor.
-        sh.on_credit_release(t(2), 1, 0, 900);
-        assert!(!sh.has_violations(), "{:?}", sh.violations());
-        a.absorb_shards(vec![sh]);
-        // ...and after absorbing, the main auditor owns the state again.
-        a.on_credit_acquire(t(3), 1, 0, 3, 901);
-        a.on_credit_release(t(4), 1, 0, 901);
-        assert!(!a.has_violations(), "{:?}", a.violations());
-    }
-
-    #[test]
-    fn absorb_joins_ledger_fates_across_shards() {
-        let mut a = Auditor::new(32);
-        a.on_posted(t(0), 0, 10); // resolved on a shard
+        a.on_posted(t(0), 0, 10); // resolved on the other shard
         a.on_posted(t(0), 0, 11); // never resolves
-        a.on_posted(t(0), 0, 12); // aborted on a shard
-        let mut sh = a.split_shard(1, 2);
-        sh.on_delivered(t(5), 1, 10);
-        sh.on_send_aborted(t(5), 0, 12); // uid unknown to the shard ledger
-        a.absorb_shards(vec![sh]);
+        a.on_posted(t(0), 0, 12); // aborted on the other shard
+        let mut b = Auditor::new(32);
+        b.on_delivered(t(5), 1, 10);
+        b.on_send_aborted(t(5), 0, 12); // uid unknown to this shard's ledger
+        let f = Auditor::fold([&a, &b]);
         assert_eq!(
-            a.ledger_snapshot(),
+            f.ledger_snapshot(),
             vec![
                 (10, MsgFate::Delivered),
                 (11, MsgFate::Posted),
                 (12, MsgFate::Aborted)
             ]
         );
-        assert_eq!(a.counters().delivered, 1);
-        assert_eq!(a.counters().aborted, 1);
-        assert!(!a.has_violations(), "{:?}", a.violations());
+        assert_eq!(f.counters().delivered, 1);
+        assert_eq!(f.counters().aborted, 1);
+        assert!(!f.has_violations(), "{:?}", f.violations());
+        // Order-independent: a resolved fate wins whichever shard folds first.
+        assert_eq!(Auditor::fold([&b, &a]).ledger_snapshot(), f.ledger_snapshot());
     }
 
     #[test]
-    fn absorb_flags_double_resolution_and_sums_totals() {
+    fn fold_flags_double_resolution_and_sums_totals() {
         let mut a = Auditor::new(32);
         a.on_posted(t(0), 0, 7);
         a.on_delivered(t(1), 0, 7);
-        let mut sh = a.split_shard(1, 2);
-        sh.on_bounced(t(2), 1, 7); // same uid resolved again elsewhere
-        sh.on_credit_release(t(3), 1, 0, 99); // plus a shard-local violation
-        let shard_viol = sh.total_violations();
-        a.absorb_shards(vec![sh]);
-        let names: Vec<_> = a.violations().iter().map(|v| v.invariant).collect();
+        let mut b = Auditor::new(32);
+        b.on_bounced(t(2), 1, 7); // same uid resolved again elsewhere
+        b.on_credit_release(t(3), 1, 0, 99); // plus a shard-local violation
+        let f = Auditor::fold([&a, &b]);
+        let names: Vec<_> = f.violations().iter().map(|v| v.invariant).collect();
         assert!(names.contains(&"audit.exactly-once"), "{names:?}");
-        assert_eq!(a.total_violations(), shard_viol + 1);
+        assert_eq!(f.total_violations(), b.total_violations() + 1);
         // Kept list is canonical: sorted by (time, host).
-        let keys: Vec<_> = a.violations().iter().map(|v| (v.at, v.host)).collect();
+        let keys: Vec<_> = f.violations().iter().map(|v| (v.at, v.host)).collect();
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted);
+    }
+
+    #[test]
+    fn fold_unions_host_state_and_found_violations_persist() {
+        let mut a = Auditor::new(32);
+        a.register_host(0, 2);
+        a.os_created(t(0), 0, 0);
+        a.on_posted(t(0), 0, 5);
+        let mut b = Auditor::new(32);
+        b.register_host(1, 2);
+        b.os_created(t(0), 1, 3);
+        let mut f = Auditor::fold([&a, &b]);
+        // Both shards' residency mirrors are visible in the fold.
+        f.os_transition(t(1), 0, 0, EpPhase::Loading);
+        f.os_transition(t(1), 1, 3, EpPhase::Loading);
+        assert!(!f.has_violations(), "{:?}", f.violations());
+        // A check run on the fold is kept by recording it in a shard.
+        let (kept, total) = (f.violations().len(), f.total_violations());
+        f.check_recovery(t(30), t(5), SimDuration::from_micros(10));
+        a.record_found(&f.violations()[kept..], f.total_violations() - total);
+        let again = Auditor::fold([&a, &b]);
+        assert_eq!(named(&again), vec!["audit.recovery"]);
+        assert_eq!(again.total_violations(), 1);
     }
 
     #[test]
@@ -1117,13 +1125,12 @@ mod tests {
     }
 
     #[test]
-    fn failover_counter_survives_shard_absorb() {
+    fn fold_sums_failover_counters() {
         let mut a = Auditor::new(32);
         a.on_failover(t(0), 0, 1);
-        let mut sh = a.split_shard(1, 2);
-        sh.on_failover(t(1), 1, 2);
-        a.absorb_shards(vec![sh]);
-        assert_eq!(a.counters().failovers, 2);
+        let mut b = Auditor::new(32);
+        b.on_failover(t(1), 1, 2);
+        assert_eq!(Auditor::fold([&a, &b]).counters().failovers, 2);
     }
 
     #[test]
@@ -1146,19 +1153,21 @@ mod tests {
 
     #[test]
     fn tenant_bytes_sum_across_shards_before_the_quota_check() {
-        let mut a = Auditor::new(32);
-        a.register_tenant(0, "acme", 1000, SimDuration::from_micros(100));
-        a.bind_tenant(0, 5, 0);
-        a.bind_tenant(1, 6, 0);
+        let shard = |host: u32, ep: u32| {
+            let mut a = Auditor::new(32);
+            a.register_tenant(0, "acme", 1000, SimDuration::from_micros(100));
+            a.bind_tenant(host, ep, 0);
+            a
+        };
+        let (mut a, mut b) = (shard(0, 5), shard(1, 6));
+        // Each shard resolves its own host's binding and accounts locally.
         a.on_tenant_bytes(t(10), 0, 5, 700);
-        let mut sh = a.split_shard(1, 2);
-        // The shard resolves its own host's binding and accounts locally.
-        sh.on_tenant_bytes(t(20), 1, 6, 700);
-        sh.check_tenant_quota();
-        assert!(!sh.has_violations(), "partial sums must not trip the check");
-        a.absorb_shards(vec![sh]);
-        a.check_tenant_quota();
-        assert_eq!(named(&a), vec!["audit.tenant-bytes"], "merged total is 1400 > 1000");
+        b.on_tenant_bytes(t(20), 1, 6, 700);
+        b.check_tenant_quota();
+        assert!(!b.has_violations(), "partial sums must not trip the check");
+        let mut f = Auditor::fold([&a, &b]);
+        f.check_tenant_quota();
+        assert_eq!(named(&f), vec!["audit.tenant-bytes"], "folded total is 1400 > 1000");
     }
 
     #[test]

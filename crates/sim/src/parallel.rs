@@ -59,9 +59,10 @@
 //! scheduled with [`schedule_keyed`](crate::wheel::TimingWheel::schedule_keyed)
 //! under a key that is a pure function of the traffic
 //! (`INGRESS_KEY_BIT | source << 40 | per-source sequence`), and wheels
-//! break same-time ties by key. The sequential engine routes the same
-//! messages through the same keyed path, so both executors process the
-//! same events at the same timestamps in the same order.
+//! break same-time ties by key. A one-shard run (the sequential oracle)
+//! routes the same messages through the same keyed path, so every shard
+//! count processes the same events at the same timestamps in the same
+//! order.
 //!
 //! ## `Send` discipline
 //!

@@ -473,8 +473,8 @@ pub struct Telemetry {
     gauges: Vec<(String, Rc<Cell<f64>>)>,
     samplers: Vec<(String, Rc<RefCell<Sampler>>)>,
     histograms: Vec<(String, Rc<RefCell<LogHistogram>>)>,
-    /// Name → position in the matching table above, so registration and
-    /// shard adopt/absorb are O(1) per name instead of a linear scan
+    /// Name → position in the matching table above, so registration is
+    /// O(1) per name instead of a linear scan
     /// (registering N host-prefixed metrics used to be O(N²), which
     /// dominated build time at fleet scale). The Vecs stay canonical:
     /// snapshots iterate them in registration order.
@@ -487,7 +487,7 @@ pub struct Telemetry {
     dropped_spans: u64,
     /// Per-host span sequence numbers. Span ids are `(host << 40) | seq`
     /// rather than a single global counter so that a parallel run — where
-    /// hosts are split across shard registries — assigns each span the
+    /// hosts are spread over per-shard registries — assigns each span the
     /// same id a sequential run would (each host's spans open in host
     /// event order, which sharding preserves).
     span_seq: FxHashMap<u32, u64>,
@@ -627,72 +627,19 @@ impl Telemetry {
         self.spans.len()
     }
 
-    // ---------------------------------------------------- shard split/merge
-
-    /// A fresh registry for one shard of a parallel run: same span
-    /// capacity, empty metric tables and span log, and a copy of the
-    /// per-host span sequence map so ids keep counting from where the
-    /// merged registry left off. Components on the shard re-register
-    /// their metrics (which recreates names at zero); call
-    /// [`Telemetry::adopt_values`] afterwards to carry the merged values
-    /// over.
-    pub fn split_shard(&self) -> Telemetry {
-        Telemetry { span_cap: self.span_cap, span_seq: self.span_seq.clone(), ..Default::default() }
-    }
-
-    /// Copy the value of every metric registered *here* from `from`
-    /// (matched by fully-qualified name; names absent there stay as-is).
-    /// Used after shard components re-register, so counters continue from
-    /// the merged baseline instead of restarting at zero.
-    pub fn adopt_values(&mut self, from: &Telemetry) {
-        for (name, c) in &self.counters {
-            if let Some(&i) = from.counter_idx.get(name) {
-                c.set(from.counters[i].1.get());
-            }
+    /// Fold per-shard registries' span logs into one registry holding
+    /// every span event (drop counts summed, no metrics) — the
+    /// cluster-wide view [`Telemetry::span_log`] and
+    /// [`Telemetry::export_chrome_trace`] render. Both impose the
+    /// canonical `(time, host)` order, and each host records into exactly
+    /// one registry, so the fold reads identically under any shard count.
+    pub fn fold_spans<'a>(shards: impl IntoIterator<Item = &'a Telemetry>) -> Telemetry {
+        let mut out = Telemetry::new();
+        for sh in shards {
+            out.spans.extend(sh.spans.iter().cloned());
+            out.dropped_spans += sh.dropped_spans;
         }
-        for (name, g) in &self.gauges {
-            if let Some(&i) = from.gauge_idx.get(name) {
-                g.set(from.gauges[i].1.get());
-            }
-        }
-        for (name, s) in &self.samplers {
-            if let Some(&i) = from.sampler_idx.get(name) {
-                *s.borrow_mut() = from.samplers[i].1.borrow().clone();
-            }
-        }
-        for (name, h) in &self.histograms {
-            if let Some(&i) = from.histogram_idx.get(name) {
-                *h.borrow_mut() = from.histograms[i].1.borrow().clone();
-            }
-        }
-    }
-
-    /// Merge one shard registry back. Metric values are *published* by
-    /// name — the shard's value overwrites (and registers if needed) the
-    /// entry here, which is exact because metric names are host-prefixed
-    /// and hosts are partitioned across shards. Span events append (the
-    /// canonical `(time, host)` order is imposed on read, see
-    /// [`Telemetry::export_chrome_trace`]), drop counts sum, and the
-    /// per-host span sequences take the shard's progress.
-    pub fn absorb_shard(&mut self, sh: Telemetry) {
-        for (name, src) in &sh.counters {
-            self.counter(name).0.set(src.get());
-        }
-        for (name, src) in &sh.gauges {
-            self.gauge(name).0.set(src.get());
-        }
-        for (name, src) in &sh.samplers {
-            *self.sampler(name).0.borrow_mut() = src.borrow().clone();
-        }
-        for (name, src) in &sh.histograms {
-            *self.histogram(name).0.borrow_mut() = src.borrow().clone();
-        }
-        self.spans.extend(sh.spans);
-        self.dropped_spans += sh.dropped_spans;
-        for (host, seq) in sh.span_seq {
-            let e = self.span_seq.entry(host).or_insert(0);
-            *e = (*e).max(seq);
-        }
+        out
     }
 
     /// The span log in canonical `(time, host)` order. Within one
@@ -743,7 +690,7 @@ impl Telemetry {
     pub fn export_chrome_trace(&self) -> String {
         // Events are walked in canonical (time, host) order so the export
         // is identical for sequential and parallel runs of the same
-        // simulation (shard merges only append; order is imposed here).
+        // simulation (shard folds only append; order is imposed here).
         let ordered = self.canonical_spans();
         // Assign stable tids per layer (first-seen order) and collect the
         // (host, layer) tracks actually used, for metadata.

@@ -129,30 +129,28 @@ impl TraceRing {
         self.dropped = 0;
     }
 
-    /// A fresh ring for one shard of a parallel run: same capacity and
-    /// enabled flag, no entries.
-    pub fn split_shard(&self) -> TraceRing {
-        let mut r = TraceRing::new(self.cap);
-        r.enabled = self.enabled;
-        r
-    }
-
-    /// Merge one shard ring back: entries append and are re-sorted into
-    /// the canonical `(time, host)` order (stable, so one host's
-    /// chronological sub-order survives), the oldest entries are evicted
-    /// down to capacity, and drop counts sum. A parallel run's merged
-    /// ring therefore reads identically to a sequential run's as long as
-    /// neither overflowed.
-    pub fn absorb_shard(&mut self, sh: TraceRing) {
-        self.dropped += sh.dropped;
-        self.entries.extend(sh.entries);
-        self.canonicalize();
+    /// Fold per-shard rings into one cluster-wide view: entries in the
+    /// canonical `(time, host)` order (stable, so each host's
+    /// chronological sub-order survives), the oldest evicted down to
+    /// capacity, and drop counts summed. Each host records into exactly
+    /// one ring, so the fold reads identically under any shard count as
+    /// long as no ring overflowed.
+    pub fn merged<'a>(rings: impl IntoIterator<Item = &'a TraceRing>) -> TraceRing {
+        let mut out: Option<TraceRing> = None;
+        for r in rings {
+            let o = out.get_or_insert_with(|| TraceRing::new(r.cap));
+            o.enabled |= r.enabled;
+            o.dropped += r.dropped;
+            o.entries.extend(r.entries.iter().cloned());
+        }
+        let mut out = out.unwrap_or_default();
+        out.canonicalize();
+        out
     }
 
     /// Impose the canonical `(time, host)` order (stable) and evict down
-    /// to capacity. Both executors apply this at run boundaries so dumps
-    /// never depend on cross-host processing order.
-    pub fn canonicalize(&mut self) {
+    /// to capacity.
+    fn canonicalize(&mut self) {
         self.entries.make_contiguous().sort_by_key(|e| (e.at, e.host));
         while self.entries.len() > self.cap {
             self.entries.pop_front();
@@ -209,5 +207,24 @@ mod tests {
         r.clear();
         assert!(r.is_empty());
         assert_eq!(r.dropped(), 0);
+    }
+
+    #[test]
+    fn merged_rings_read_in_canonical_order_and_count_drops() {
+        let mut a = TraceRing::new(3);
+        let mut b = TraceRing::new(3);
+        a.enable();
+        b.enable();
+        for i in 0..4u64 {
+            a.record(t(2 * i), 0, "e", format!("a{i}")); // a0 falls out of a
+        }
+        b.record(t(1), 1, "e", "b0".into());
+        b.record(t(4), 1, "e", "b1".into());
+        let m = TraceRing::merged([&a, &b]);
+        let order: Vec<&str> = m.entries().map(|e| e.detail.as_str()).collect();
+        // Five survivors, time-sorted (ties by host), evicted down to 3.
+        assert_eq!(order, vec!["a2", "b1", "a3"]);
+        assert_eq!(m.dropped(), 1 + 2);
+        assert!(m.is_enabled());
     }
 }

@@ -134,7 +134,7 @@ fn seeded_campaign_recovers_clean() {
         let b: &Client = c.body(h, tid).expect("client body");
         assert_eq!(b.replies, total, "client on {h} must see every reply exactly once");
     }
-    let ledger = c.auditor().borrow().ledger_snapshot();
+    let ledger = c.auditor().ledger_snapshot();
     assert!(!ledger.is_empty());
     assert!(
         ledger.iter().all(|&(_, f)| f == MsgFate::Delivered),
@@ -152,7 +152,7 @@ fn seeded_campaign_recovers_clean() {
     let failovers = nic("failovers");
     assert!(failovers > 0, "a flapped trunk with idle alternates must fail over");
     assert_eq!(
-        c.auditor().borrow().counters().failovers,
+        c.auditor().counters().failovers,
         failovers,
         "auditor and NIC stats must agree on failovers"
     );

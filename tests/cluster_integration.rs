@@ -261,7 +261,7 @@ fn pageout_endpoint_comes_back() {
     let b = c.create_endpoint(HostId(1));
     c.build_virtual_network(&[a, b]);
     // Page the client endpoint out to the swap area before any use.
-    assert!(c.world_mut().os_mut(0).pageout(a.ep));
+    assert!(c.world_of_mut(HostId(0)).os_mut(0).pageout(a.ep));
     c.spawn_thread(HostId(1), Box::new(Echo::new(b.ep)));
     let t = c.spawn_thread(HostId(0), Box::new(Client::new(a.ep, 1, 10, 0)));
     c.run_for(SimDuration::from_secs(5));
@@ -326,10 +326,10 @@ fn hot_swap_link_mid_conversation() {
     let t = c.spawn_thread(HostId(0), Box::new(Client::new(a.ep, 1, 200, 0)));
     c.run_for(SimDuration::from_millis(2));
     // Crossbar link layout: link (hosts + dst) is the receive link of dst.
-    let down = c.world().fabric.topology().host_down_link(HostId(1));
-    c.world_mut().fabric.faults_mut().link_down(down);
+    let down = c.world_of(HostId(1)).fabric.topology().host_down_link(HostId(1));
+    c.set_link_up(down, false);
     c.run_for(SimDuration::from_millis(40));
-    c.world_mut().fabric.faults_mut().link_up(down);
+    c.set_link_up(down, true);
     c.run_for(SimDuration::from_secs(10));
     let cl: &Client = c.body(HostId(0), t).unwrap();
     assert_eq!(cl.replies + cl.bounces, 200, "stream must finish after the swap");
@@ -393,7 +393,7 @@ fn clean_runs_pass_the_invariant_audit() {
     c.run_for(SimDuration::from_secs(10));
     assert_eq!(c.body::<Client>(HostId(0), t).unwrap().replies, 50);
     c.audit().expect("healthy run must satisfy every invariant");
-    let counters = c.auditor().borrow().counters();
+    let counters = c.auditor().counters();
     assert_eq!(counters.posted, counters.delivered, "every post resolved by a delivery");
     assert!(counters.retransmits > 0, "the lossy fabric forced retransmissions");
 }
@@ -436,7 +436,7 @@ fn audit_catches_credit_leak() {
     let mut c = Cluster::new(ClusterConfig::now(2));
     c.telemetry().set_debug_audit(false);
     let a = c.create_endpoint(HostId(0));
-    let auditor = c.auditor();
+    let auditor = c.world_of(HostId(0)).auditor.clone();
     {
         let mut aud = auditor.borrow_mut();
         // 33 acquisitions against the 32-credit window, none released.

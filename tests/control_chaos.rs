@@ -118,6 +118,9 @@ struct Outcome {
     ctl: (u64, u64, u64, u64, u64, u64),
     /// Final placements: (vid, host, raw endpoint id).
     placements: Vec<(u32, u32, u32)>,
+    /// Per placement, the protection key each host's world resolves it
+    /// to: a migrated endpoint's key must reach every shard.
+    placement_keys: Vec<Vec<Option<u64>>>,
     denials: u64,
     /// Per client: (replies, returned, quota denials observed).
     clients: Vec<(u32, u32, u64)>,
@@ -160,7 +163,10 @@ fn control_spec() -> ControlSpec {
     }
 }
 
-fn run_once(shards: u32) -> Outcome {
+/// Run the scenario on `shards` shards, advancing in consecutive
+/// `run_for` slices of the given lengths (in µs; 40 ms in total).
+fn run_once(shards: u32, slices_us: &[u64]) -> Outcome {
+    assert_eq!(slices_us.iter().sum::<u64>(), 40_000, "slices must cover the 40 ms run");
     // Hosts 0–3 abstract (leaf 0 and 1), hosts 4–7 full (leaf 2 and 3).
     let mut fid = FidelityMap::full();
     fid.set_hosts(0..FULL_BASE, Fidelity::Abstract);
@@ -224,15 +230,14 @@ fn run_once(shards: u32) -> Outcome {
         c.drive_open_loop(HostId(h), ol.clone());
     }
 
-    // Two slices: the 8 ms boundary lands mid-migration for both tenants,
-    // exercising split/absorb of in-flight control state.
-    c.run_for(SimDuration::from_millis(8));
-    c.run_for(SimDuration::from_millis(32));
+    for &us in slices_us {
+        c.run_for(SimDuration::from_micros(us));
+    }
 
     assert_eq!(c.fault_horizon(), at_us(9_000), "campaign horizon");
     c.check_recovery(SimDuration::from_millis(20));
     c.check_reconverged(SimDuration::from_millis(15));
-    c.auditor().borrow_mut().check_tenant_quota();
+    c.check_tenant_quota();
     if let Err(report) = c.audit() {
         panic!("control-plane chaos must finish with zero violations:\n{report}");
     }
@@ -251,14 +256,18 @@ fn run_once(shards: u32) -> Outcome {
             ctl.retries,
         ),
         placements: ctl.placements().map(|(v, m)| (v, m.host, m.ep.0)).collect(),
-        denials: c.world().quota_denials(),
-        ledger: {
-            let a = c.auditor();
-            let l = a.borrow().ledger_snapshot();
-            l
-        },
-        violations: c.auditor().borrow().total_violations(),
-        spans: c.telemetry().handle().map(|t| t.borrow().span_log()).unwrap_or_default(),
+        placement_keys: ctl
+            .placements()
+            .map(|(_, m)| {
+                (0..HOSTS)
+                    .map(|h| c.world_of(HostId(h)).keys.get(&m.gep()).map(|k| k.0))
+                    .collect()
+            })
+            .collect(),
+        denials: c.quota_denials(),
+        ledger: c.auditor().ledger_snapshot(),
+        violations: c.auditor().total_violations(),
+        spans: c.telemetry().span_log(),
         trace: c.telemetry().trace_text(),
         clients: [tid_a, tid_b]
             .iter()
@@ -286,6 +295,11 @@ fn run_once(shards: u32) -> Outcome {
     assert!(retries >= 1, "the aborted attempt must retry with backoff: {:?}", outcome.ctl);
     assert!(started > completed, "failed attempts count as started: {:?}", outcome.ctl);
     assert!(reconciles > 0, "the reconcile loop must run");
+    assert!(
+        outcome.placement_keys.iter().flatten().all(Option::is_some),
+        "every host must resolve every placement's key: {:?}",
+        outcome.placement_keys
+    );
     assert!(cached >= 1, "outage-window ticks must degrade to cached state, not error");
     assert!(outcome.denials >= 1, "alpha's tight byte budget must throttle its client");
     for &(vid, host, _) in &outcome.placements {
@@ -310,24 +324,53 @@ fn run_once(shards: u32) -> Outcome {
     outcome
 }
 
+/// Two slices: the 8 ms boundary lands mid-migration for both tenants.
+const TWO_SLICES: [u64; 2] = [8_000, 32_000];
+
+/// Boundaries at 1.7, 3.15 (just past the aborted `CreateDst`), 4.06,
+/// 6.39 (inside the coordinator outage), 7.54, 10.59, 13.2 and 14.93 ms:
+/// every one cuts through an in-flight migration or retry backoff.
+const MID_MIGRATION: [u64; 9] = [1_700, 1_450, 910, 2_330, 1_150, 3_050, 2_610, 1_730, 25_070];
+
 #[test]
 fn coordinator_survives_campaign_and_matches_sequential() {
-    let seq = run_once(1);
+    let seq = run_once(1, &TWO_SLICES);
     assert_eq!(seq.shards_used, 1);
     assert_eq!(seq.violations, 0);
-    let par = run_once(4);
+    let par = run_once(4, &TWO_SLICES);
     assert_eq!(par.shards_used, 4);
-    // Field-by-field so a mismatch names what diverged.
-    assert_eq!(seq.ctl, par.ctl, "control-plane counters");
-    assert_eq!(seq.placements, par.placements, "final placements");
-    assert_eq!(seq.denials, par.denials, "quota denials");
-    assert_eq!(seq.clients, par.clients, "client results");
-    assert_eq!(seq.abs, par.abs, "abstract host counters");
-    assert_eq!(seq.lat, par.lat, "open-loop latency histogram");
-    assert_eq!(seq.events, par.events, "event count");
-    assert_eq!(seq.now_ns, par.now_ns, "final clock");
-    assert_eq!(seq.ledger, par.ledger, "audit ledger");
-    assert_eq!(seq.violations, par.violations, "violations");
-    assert_eq!(seq.spans, par.spans, "span log");
-    assert_eq!(seq.trace, par.trace, "trace ring");
+    assert_same(&seq, &par, "4 shards");
+}
+
+/// Field-by-field comparison, so a mismatch names what diverged.
+fn assert_same(want: &Outcome, got: &Outcome, what: &str) {
+    assert_eq!(want.ctl, got.ctl, "control-plane counters, {what}");
+    assert_eq!(want.placements, got.placements, "final placements, {what}");
+    assert_eq!(want.placement_keys, got.placement_keys, "placement keys, {what}");
+    assert_eq!(want.denials, got.denials, "quota denials, {what}");
+    assert_eq!(want.clients, got.clients, "client results, {what}");
+    assert_eq!(want.abs, got.abs, "abstract host counters, {what}");
+    assert_eq!(want.lat, got.lat, "open-loop latency histogram, {what}");
+    assert_eq!(want.events, got.events, "event count, {what}");
+    assert_eq!(want.now_ns, got.now_ns, "final clock, {what}");
+    assert_eq!(want.ledger, got.ledger, "audit ledger, {what}");
+    assert_eq!(want.violations, got.violations, "violations, {what}");
+    assert_eq!(want.spans, got.spans, "span log, {what}");
+    assert_eq!(want.trace, got.trace, "trace ring, {what}");
+}
+
+/// Slicing a run is unobservable: one 40 ms slice, the 8 + 32 ms split,
+/// and slices cut mid-migration all produce the same outcome, at 1 and
+/// at 4 shards. Each shard keeps its engine and world for the cluster's
+/// lifetime, so a run boundary changes nothing the protocol can see.
+#[test]
+fn run_slicing_is_unobservable() {
+    let reference = run_once(1, &[40_000]);
+    for shards in [1u32, 4] {
+        for plan in [&[40_000][..], &TWO_SLICES, &MID_MIGRATION] {
+            let got = run_once(shards, plan);
+            assert_eq!(got.shards_used, shards);
+            assert_same(&reference, &got, &format!("{shards} shards, slices {plan:?}"));
+        }
+    }
 }

@@ -133,7 +133,7 @@ fn churn_run(seed: u64) {
     // Credits and the frame ledger: every post resolved by exactly one
     // delivery, and the auditor (which also checks frame occupancy and
     // credit conservation continuously) saw nothing.
-    let counters = c.auditor().borrow().counters();
+    let counters = c.auditor().counters();
     assert_eq!(counters.posted, counters.delivered, "unresolved or duplicated posts");
     if let Err(report) = c.audit() {
         panic!("seed {seed:#x} violated an invariant:\n{report}");

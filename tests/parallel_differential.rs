@@ -96,6 +96,26 @@ struct Outcome {
     /// Cluster-wide `(unbinds, resyncs, failovers)` from the NIC stats —
     /// the recovery-path shape, compared exactly across shard counts.
     recovery: (u64, u64, u64),
+    net: Vec<(String, u64)>,
+}
+
+/// Every `net.*` fabric counter — packets, bytes, link busy time, each
+/// drop reason and corruptions — from the cluster snapshot, which sums
+/// the per-shard fabrics.
+fn net_counters(c: &Cluster) -> Vec<(String, u64)> {
+    let snap = c.telemetry().snapshot();
+    let net: Vec<(String, u64)> = snap
+        .entries()
+        .iter()
+        .filter_map(|(name, v)| match v {
+            MetricValue::Counter(n) if name.starts_with("net.") => Some((name.clone(), *n)),
+            _ => None,
+        })
+        .collect();
+    for want in ["packets", "bytes", "link_busy_ns", "drop_link_down", "corruptions"] {
+        assert!(net.iter().any(|(n, _)| n == &format!("net.{want}")), "missing net.{want}");
+    }
+    net
 }
 
 struct Scenario {
@@ -116,6 +136,13 @@ struct Scenario {
 /// Build the all-hosts request ring (host i's client targets host
 /// (i+1) % n's server), run it, and collect every observable output.
 fn run(sc: &Scenario, shards: u32) -> Outcome {
+    run_sliced(sc, shards, &[sc.run_ms * 1_000])
+}
+
+/// [`run`], advancing in consecutive `run_for` slices of the given
+/// lengths (in µs; they must add up to the scenario's run time).
+fn run_sliced(sc: &Scenario, shards: u32, slices_us: &[u64]) -> Outcome {
+    assert_eq!(slices_us.iter().sum::<u64>(), sc.run_ms * 1_000, "slices must cover the run");
     let n = sc.topology.hosts();
     let mut cfg = ClusterConfig::now(n)
         .with_seed(sc.seed)
@@ -149,18 +176,13 @@ fn run(sc: &Scenario, shards: u32) -> Outcome {
         );
         client_tids.push((HostId(h), tid));
     }
-    c.run_for(SimDuration::from_millis(sc.run_ms));
+    for &us in slices_us {
+        c.run_for(SimDuration::from_micros(us));
+    }
 
-    let (ledger, violations) = {
-        let a = c.auditor();
-        let a = a.borrow();
-        (a.ledger_snapshot(), a.total_violations())
-    };
-    let spans = c
-        .telemetry()
-        .handle()
-        .map(|t| t.borrow().span_log())
-        .unwrap_or_default();
+    let a = c.auditor();
+    let (ledger, violations) = (a.ledger_snapshot(), a.total_violations());
+    let spans = c.telemetry().span_log();
     let trace = c.telemetry().trace_text();
     let replies = client_tids
         .iter()
@@ -182,7 +204,22 @@ fn run(sc: &Scenario, shards: u32) -> Outcome {
         trace,
         replies,
         recovery,
+        net: net_counters(&c),
     }
+}
+
+/// Field-by-field comparison (all but the shard count), so a mismatch
+/// names what diverged.
+fn assert_same(want: &Outcome, got: &Outcome, what: &str) {
+    assert_eq!(want.replies, got.replies, "app results, {what}");
+    assert_eq!(want.events, got.events, "event count, {what}");
+    assert_eq!(want.now_ns, got.now_ns, "final clock, {what}");
+    assert_eq!(want.ledger, got.ledger, "audit ledger, {what}");
+    assert_eq!(want.violations, got.violations, "violations, {what}");
+    assert_eq!(want.spans, got.spans, "span log, {what}");
+    assert_eq!(want.trace, got.trace, "trace ring, {what}");
+    assert_eq!(want.recovery, got.recovery, "unbind/resync/failover counts, {what}");
+    assert_eq!(want.net, got.net, "fabric counters, {what}");
 }
 
 fn check_scenario(sc: &Scenario, shard_counts: &[u32]) -> Outcome {
@@ -196,23 +233,7 @@ fn check_scenario(sc: &Scenario, shard_counts: &[u32]) -> Outcome {
     for &s in shard_counts {
         let par = run(sc, s);
         assert!(par.shards_used > 1, "expected a parallel run for {s} shards");
-        // Compare field-by-field so a mismatch names what diverged.
-        assert_eq!(seq.replies, par.replies, "app results, {s} shards, seed {:#x}", sc.seed);
-        assert_eq!(seq.events, par.events, "event count, {s} shards, seed {:#x}", sc.seed);
-        assert_eq!(seq.now_ns, par.now_ns, "final clock, {s} shards, seed {:#x}", sc.seed);
-        assert_eq!(seq.ledger, par.ledger, "audit ledger, {s} shards, seed {:#x}", sc.seed);
-        assert_eq!(
-            seq.violations, par.violations,
-            "violations, {s} shards, seed {:#x}",
-            sc.seed
-        );
-        assert_eq!(seq.spans, par.spans, "span log, {s} shards, seed {:#x}", sc.seed);
-        assert_eq!(seq.trace, par.trace, "trace ring, {s} shards, seed {:#x}", sc.seed);
-        assert_eq!(
-            seq.recovery, par.recovery,
-            "unbind/resync/failover counts, {s} shards, seed {:#x}",
-            sc.seed
-        );
+        assert_same(&seq, &par, &format!("{s} shards, seed {:#x}", sc.seed));
     }
     seq
 }
@@ -432,6 +453,7 @@ struct MixedOutcome {
     trace: String,
     replies: Vec<(u32, u64)>,
     abs: Vec<(u64, u64, u64, u64, u64)>,
+    net: Vec<(String, u64)>,
 }
 
 /// 4 full + 12 abstract hosts on a 16-host fat tree: the full hosts (leaf
@@ -486,18 +508,15 @@ fn run_mixed(seed: u64, shards: u32) -> MixedOutcome {
     }
     c.run_for(SimDuration::from_millis(8));
 
-    let (ledger, violations) = {
-        let a = c.auditor();
-        let a = a.borrow();
-        (a.ledger_snapshot(), a.total_violations())
-    };
+    let a = c.auditor();
+    let (ledger, violations) = (a.ledger_snapshot(), a.total_violations());
     MixedOutcome {
         shards_used: c.shards(),
         events: c.events_processed(),
         now_ns: c.now().as_nanos(),
         ledger,
         violations,
-        spans: c.telemetry().handle().map(|t| t.borrow().span_log()).unwrap_or_default(),
+        spans: c.telemetry().span_log(),
         trace: c.telemetry().trace_text(),
         replies: client_tids
             .iter()
@@ -512,6 +531,7 @@ fn run_mixed(seed: u64, shards: u32) -> MixedOutcome {
                 (s.sent, s.sent_bytes, s.recvd, s.recv_bytes, s.corrupt_drops)
             })
             .collect(),
+        net: net_counters(&c),
     }
 }
 
@@ -553,6 +573,7 @@ fn mixed_fidelity_matches_sequential() {
             );
             assert_eq!(seq.spans, par.spans, "span log, {shards} shards, seed {seed:#x}");
             assert_eq!(seq.trace, par.trace, "trace ring, {shards} shards, seed {seed:#x}");
+            assert_eq!(seq.net, par.net, "fabric counters, {shards} shards, seed {seed:#x}");
         }
     }
 }
@@ -594,6 +615,7 @@ struct OpenLoopOutcome {
     lat_buckets: Vec<u64>,
     lat_count: u64,
     lat_sum: u128,
+    net: Vec<(String, u64)>,
 }
 
 /// A 32-host all-abstract fat tree driven by the open-loop client
@@ -647,6 +669,7 @@ fn run_open_loop(seed: u64, shards: u32) -> OpenLoopOutcome {
         lat_buckets: lat.buckets().to_vec(),
         lat_count: lat.count(),
         lat_sum: lat.sum(),
+        net: net_counters(&c),
     }
 }
 
@@ -678,6 +701,7 @@ fn open_loop_matches_sequential() {
             assert_eq!(seq.lat_sum, par.lat_sum, "latency sum, {shards} shards, seed {seed:#x}");
             assert_eq!(seq.events, par.events, "event count, {shards} shards, seed {seed:#x}");
             assert_eq!(seq.now_ns, par.now_ns, "final clock, {shards} shards, seed {seed:#x}");
+            assert_eq!(seq.net, par.net, "fabric counters, {shards} shards, seed {seed:#x}");
         }
     }
 }
@@ -709,5 +733,38 @@ fn asymmetric_trunk_campaign_matches_sequential() {
             "every client must finish despite the campaign (seed {seed:#x}): {:?}",
             seq.replies
         );
+    }
+}
+
+/// Slicing a run is unobservable. The faulty fat tree under the full
+/// chaos campaign runs once as a single `run_for` and once as 40
+/// odd-length slices — the first 32 dense over the campaign's first 6 ms,
+/// so boundaries fall inside the flap, switch-failure and degrade windows
+/// and through the retransmit episodes they provoke — at 1 and 4 shards.
+/// All four outcomes must be identical.
+#[test]
+fn chaos_campaign_slicing_is_unobservable() {
+    let sc = Scenario {
+        topology: TopologySpec::FatTree { leaves: 4, hosts_per_leaf: 2, spines: 2 },
+        trunk_latency: None,
+        seed: 1,
+        drop_prob: 0.05,
+        corrupt_prob: 0.02,
+        faults: chaos_campaign(),
+        requests: 100,
+        run_ms: 24,
+    };
+    let mut slices: Vec<u64> = (0..32).map(|i| 97 + 6 * i).collect();
+    let fine: u64 = slices.iter().sum();
+    slices.extend([2_239; 7]);
+    slices.push(sc.run_ms * 1_000 - fine - 7 * 2_239);
+    assert!(slices.iter().all(|us| us % 2 == 1), "odd lengths: {slices:?}");
+    let reference = run(&sc, 1);
+    assert!(reference.spans.contains("retx"), "the campaign must provoke retransmissions");
+    for shards in [1u32, 4] {
+        for (what, got) in [("one slice", run(&sc, shards)), ("40 slices", run_sliced(&sc, shards, &slices))] {
+            assert_eq!(got.shards_used, shards);
+            assert_same(&reference, &got, &format!("{shards} shards, {what}"));
+        }
     }
 }

@@ -174,7 +174,7 @@ fn trace_ring_drops_are_counted_in_snapshot() {
     let c = Cluster::builder().hosts(2).tracing(true).build();
     assert_eq!(c.telemetry().snapshot().counter("trace.dropped_events"), 0);
     {
-        let mut ring = c.world().trace.borrow_mut();
+        let mut ring = c.world_of(HostId(0)).trace.borrow_mut();
         for i in 0..5000u32 {
             ring.record(SimTime::ZERO, 0, "test", format!("entry {i}"));
         }
