@@ -50,8 +50,8 @@ pub struct CsConfig {
     pub adaptive_rto: bool,
     /// Enable the §8 ack-coalescing extension (30 µs window).
     pub ack_coalesce: bool,
-    /// Attach telemetry hooks (metric registry + span log) to every
-    /// component; export via [`vnet_core::Cluster::telemetry`].
+    /// Attach the span log's hooks to every component; export via
+    /// [`vnet_core::Cluster::telemetry`].
     pub telemetry: bool,
     /// Per-frame drop probability on the fabric (0.0 = lossless). Lossy
     /// runs exercise the retransmission/unbind machinery so their span

@@ -20,9 +20,9 @@
 //! * [`timeshare`] — the §6.3 time-shared parallel application workloads.
 //! * [`collectives`] — schedule builders for broadcast, allreduce,
 //!   all-to-all, and barriers, shared by the NPB and Linpack skeletons.
-//! * [`stream`], [`rpc`], [`onesided`], [`split_c`] — the layered services
-//!   of the paper's Figure 1 (sockets, SunRPC) and its Split-C user
-//!   community, all over the unmodified endpoint API.
+//! * [`onesided`], [`split_c`] — the paper's Split-C user community:
+//!   one-sided put/get and a global-address-space layer, over the
+//!   unmodified endpoint API.
 //! * [`via`] — the §7 Virtual Interface Architecture resource model.
 
 #![warn(missing_docs)]
@@ -35,8 +35,6 @@ pub mod linpack;
 pub mod logp;
 pub mod npb;
 pub mod onesided;
-pub mod rpc;
 pub mod split_c;
-pub mod stream;
 pub mod timeshare;
 pub mod via;

@@ -38,7 +38,6 @@ pub struct ClusterBuilder {
     corrupt_prob: Option<f64>,
     audit: Option<bool>,
     telemetry: Option<bool>,
-    tracing: bool,
     shards: Option<u32>,
     fidelity: Option<FidelityMap>,
     faults: Option<FaultScheduleSpec>,
@@ -65,7 +64,6 @@ impl ClusterBuilder {
             corrupt_prob: None,
             audit: None,
             telemetry: None,
-            tracing: false,
             shards: None,
             fidelity: None,
             faults: None,
@@ -129,17 +127,10 @@ impl ClusterBuilder {
         self
     }
 
-    /// Attach the unified telemetry registry (metrics handles + span
-    /// tracing; read back through `Cluster::telemetry`). Default: the
-    /// `VNET_TELEMETRY` environment variable, else off.
+    /// Attach the span log (read back through `Cluster::telemetry`).
+    /// Default: the `VNET_TELEMETRY` environment variable, else off.
     pub fn telemetry(mut self, on: bool) -> Self {
         self.telemetry = Some(on);
-        self
-    }
-
-    /// Enable the causal trace ring from the start.
-    pub fn tracing(mut self, on: bool) -> Self {
-        self.tracing = on;
         self
     }
 
@@ -238,11 +229,7 @@ impl ClusterBuilder {
         for t in self.tweaks {
             t(&mut cfg);
         }
-        let c = Cluster::new(cfg);
-        if self.tracing {
-            c.telemetry().trace_enable();
-        }
-        c
+        Cluster::new(cfg)
     }
 }
 
@@ -284,12 +271,6 @@ mod tests {
             .build();
         assert_eq!(c.world_of(HostId(0)).cfg.mode, Mode::Gam);
         assert!(!c.telemetry().enabled());
-    }
-
-    #[test]
-    fn builder_tracing_enables_ring() {
-        let c = Cluster::builder().tracing(true).build();
-        assert!(c.world_of(HostId(0)).trace.borrow().is_enabled());
     }
 
     #[test]

@@ -18,8 +18,12 @@ use vnet_os::{OsOut, Scheduler, SegmentDriver, Tid};
 use vnet_sim::stats::LogHistogram;
 use vnet_sim::{
     run_conservative, Auditor, Engine, PairLookahead, ParShard, SendCell, SimDuration, SimRng,
-    SimTime, TraceRing, INGRESS_KEY_BIT,
+    SimTime, INGRESS_KEY_BIT,
 };
+
+/// How many of the most recent span-log events a failed audit's report
+/// carries.
+const AUDIT_LOG_TAIL: usize = 64;
 
 /// One executor shard: a world owning a contiguous range of hosts for
 /// the cluster's whole lifetime, married to the engine holding its
@@ -95,8 +99,8 @@ pub struct Cluster {
     names: NameService,
     /// Run [`Cluster::audit`] automatically at every `run_for` /
     /// `run_until` / `settle` boundary in debug builds, panicking on the
-    /// first violation (with a trace dump). On by default; mutation tests
-    /// that *expect* violations turn it off through
+    /// first violation (with the span-log tail). On by default; mutation
+    /// tests that *expect* violations turn it off through
     /// `cluster.telemetry().set_debug_audit(false)` and call
     /// [`Cluster::audit`] themselves. A `Cell` so the shared-borrow
     /// [`ClusterTelemetry`] facade can flip it.
@@ -222,9 +226,7 @@ impl Cluster {
     }
 
     /// The unified observability handle: metrics snapshots and deltas,
-    /// Perfetto span export, trace-ring control, and the invariant audit
-    /// — one facade over what used to be scattered across `enable_trace`,
-    /// `trace_text`, `set_debug_audit`, and per-component stats access.
+    /// the span log and its Perfetto export, and the invariant audit.
     pub fn telemetry(&self) -> ClusterTelemetry<'_> {
         ClusterTelemetry::new(self)
     }
@@ -279,13 +281,6 @@ impl Cluster {
         Auditor::fold(shards.iter().map(|a| &**a))
     }
 
-    /// The cluster-wide causal trace: every shard's ring folded in the
-    /// canonical `(time, host)` order (see [`TraceRing::merged`]).
-    pub(crate) fn trace(&self) -> TraceRing {
-        let rings: Vec<_> = self.shards.iter().map(|s| s.world.trace.borrow()).collect();
-        TraceRing::merged(rings.iter().map(|r| &**r))
-    }
-
     pub(crate) fn set_debug_audit_flag(&self, on: bool) {
         self.debug_audit.set(on);
     }
@@ -293,7 +288,8 @@ impl Cluster {
     /// Check every cross-layer invariant observed so far: exactly-once
     /// delivery, credit conservation, stop-and-wait channel discipline,
     /// and endpoint frame accounting. Returns `Err` with a full report —
-    /// named violations plus a trace dump — on the first check that fails.
+    /// named violations plus a fixed-size tail of the folded span log —
+    /// on the first check that fails.
     ///
     /// Also validates the *live* state (not just the event history): the
     /// number of resident endpoints on each NIC can never exceed its frame
@@ -331,14 +327,16 @@ impl Cluster {
         if report.is_empty() {
             return Ok(());
         }
-        let trace = self.trace();
-        if trace.is_enabled() {
-            report.push_str("trace (most recent last):\n");
-            report.push_str(&trace.to_text());
+        if self.telemetry().enabled() {
+            let log = self.telemetry().span_log();
+            let lines: Vec<&str> = log.lines().collect();
+            let tail = &lines[lines.len().saturating_sub(AUDIT_LOG_TAIL)..];
+            let _ = writeln!(report, "span log, last {} of {} events:", tail.len(), lines.len());
+            for l in tail {
+                let _ = writeln!(report, "  {l}");
+            }
         } else {
-            report.push_str(
-                "(trace disabled; call cluster.telemetry().trace_enable() for event context)\n",
-            );
+            report.push_str("(telemetry detached; build with telemetry(true) for event context)\n");
         }
         Err(report)
     }
@@ -636,7 +634,7 @@ impl Cluster {
             .map(|shard| {
                 // SAFETY: a shard world plus its engine's pending events
                 // form one closed `Rc` graph — every shard has its own
-                // trace, auditor and telemetry handles, and cross-shard
+                // auditor and span-log handles, and cross-shard
                 // frames share only atomically counted frozen payloads —
                 // and the executor runs each shard on exactly one thread
                 // at a time. The partition is shared read-only.

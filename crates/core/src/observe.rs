@@ -1,8 +1,7 @@
 //! The unified cluster observability handle.
 //!
-//! One entry point — [`crate::cluster::Cluster::telemetry`] — replaces
-//! the former grab-bag of `enable_trace` / `trace_text` /
-//! `set_debug_audit` and per-component stats spelunking:
+//! One entry point — [`crate::cluster::Cluster::telemetry`] — for
+//! metrics, the span log and the invariant audit:
 //!
 //! ```text
 //! let tel = cluster.telemetry();
@@ -11,14 +10,16 @@
 //! let tel = cluster.telemetry();
 //! let delta = tel.delta_since(&before);     // counters subtracted
 //! println!("{}", delta.to_table());
+//! println!("{}", tel.span_log());           // the one event log
 //! std::fs::write("trace.json", tel.export_perfetto())?;  // ui.perfetto.dev
 //! tel.audit()?;                             // invariant check
 //! ```
 //!
 //! Metric names are `host3.nic.retransmits`-style dotted paths: a host
 //! scope (`host{N}`), a layer (`nic`, `os`), and the metric's short name
-//! as enumerated by its [`MetricSet`]. Cluster-wide sets use a bare layer
-//! prefix (`net.packets`, `trace.dropped_events`, `engine.*`).
+//! as enumerated by its [`MetricSet`](vnet_sim::telemetry::MetricSet).
+//! Cluster-wide sets use a bare layer prefix (`net.packets`,
+//! `telemetry.dropped_spans`, `engine.*`).
 
 use crate::cluster::Cluster;
 use crate::world::World;
@@ -27,9 +28,8 @@ use vnet_sim::telemetry::{MetricValue, MetricsSnapshot, Telemetry};
 /// Borrowed observability facade over a [`Cluster`] (see module docs).
 ///
 /// Cheap to construct; holds no state of its own. Every read folds the
-/// per-shard state on demand, and all mutation goes through
-/// interior-mutable handles (the trace rings, the debug-audit flag), so a
-/// shared borrow suffices.
+/// per-shard state on demand, and the one mutation (the debug-audit flag)
+/// goes through a `Cell`, so a shared borrow suffices.
 pub struct ClusterTelemetry<'a> {
     c: &'a Cluster,
 }
@@ -39,10 +39,10 @@ impl<'a> ClusterTelemetry<'a> {
         ClusterTelemetry { c }
     }
 
-    /// Whether span/handle telemetry hooks are attached
+    /// Whether the span log's hooks are attached
     /// ([`crate::config::ClusterConfig::telemetry`]). Snapshots work
-    /// either way — component stats are always counted; only the
-    /// registry metrics and the Perfetto span log need the hooks.
+    /// either way — component stats are always counted; only the span
+    /// log and its Perfetto export need the hooks.
     pub fn enabled(&self) -> bool {
         self.c.worlds().any(|w| w.telemetry.is_some())
     }
@@ -51,8 +51,7 @@ impl<'a> ClusterTelemetry<'a> {
     /// simulated time: per-host stats — `host{N}.nic.*` / `host{N}.os.*`
     /// for full-fidelity hosts, coarse `host{N}.abs.*` counters for
     /// abstract ones — fabric aggregates (`net.*`), engine progress
-    /// (`engine.*`), trace-ring drop accounting (`trace.*`), and — when
-    /// telemetry hooks are attached — every registry metric and the
+    /// (`engine.*`), and — when telemetry hooks are attached — the
     /// span-log drop counter (`telemetry.dropped_spans`). Per-shard state
     /// is folded: host metrics in host order, fabric counters summed.
     pub fn snapshot(&self) -> MetricsSnapshot {
@@ -70,14 +69,9 @@ impl<'a> ClusterTelemetry<'a> {
         }
         s.record("engine.events_processed", MetricValue::Counter(c.events_processed()));
         s.record("engine.sim_time_us", MetricValue::Gauge(c.now().as_micros_f64()));
-        s.record("trace.dropped_events", MetricValue::Counter(c.trace().dropped()));
         if self.enabled() {
-            let mut dropped = 0;
-            for tel in c.worlds().filter_map(|w| w.telemetry.as_ref()) {
-                let t = tel.borrow();
-                s.record_set("", &*t);
-                dropped += t.dropped_spans();
-            }
+            let logs = c.worlds().filter_map(|w| w.telemetry.as_ref());
+            let dropped = logs.map(|t| t.borrow().dropped_spans()).sum();
             s.record("telemetry.dropped_spans", MetricValue::Counter(dropped));
         }
         s
@@ -90,7 +84,7 @@ impl<'a> ClusterTelemetry<'a> {
         self.snapshot().delta_since(earlier)
     }
 
-    /// Every shard registry's span events folded into one (see
+    /// Every shard's span log folded into one (see
     /// [`Telemetry::fold_spans`]); `None` when hooks are detached.
     fn spans(&self) -> Option<Telemetry> {
         if !self.enabled() {
@@ -127,28 +121,6 @@ impl<'a> ClusterTelemetry<'a> {
     /// Forwards to [`Cluster::audit`].
     pub fn audit(&self) -> Result<(), String> {
         self.c.audit()
-    }
-
-    /// Enable the causal trace ring (ring-buffered text records of
-    /// residency and protocol transitions; see [`Self::trace_text`]) on
-    /// every shard.
-    pub fn trace_enable(&self) {
-        for w in self.c.worlds() {
-            w.trace.borrow_mut().enable();
-        }
-    }
-
-    /// Disable the causal trace ring on every shard.
-    pub fn trace_disable(&self) {
-        for w in self.c.worlds() {
-            w.trace.borrow_mut().disable();
-        }
-    }
-
-    /// Render the causal trace collected so far (every shard's ring,
-    /// folded in canonical order).
-    pub fn trace_text(&self) -> String {
-        self.c.trace().to_text()
     }
 
     /// Enable or disable the automatic debug-build invariant audit at

@@ -20,19 +20,17 @@ use crate::model::{
 };
 use crate::sys::{Step, Sys, ThreadBody};
 use crate::user::UserEpState;
-use std::cell::RefCell;
 use std::collections::HashMap;
-use std::rc::Rc;
 use std::sync::Arc;
 use vnet_net::{FaultOp, FaultPlan, HostId, Packet, Phase1, RouteOracle, Topology};
 use vnet_nic::{
     DriverMsg, EpId, Frame, GlobalEp, Nic, NicConfig, NicEvent, NicMode, NicOut, ProtectionKey,
 };
 use vnet_os::{BlockReason, OsEvent, OsOut, Scheduler, SegmentDriver, Tid};
-use vnet_sim::telemetry::MetricsSnapshot;
+use vnet_sim::telemetry::{MetricValue, MetricsSnapshot};
 use vnet_sim::{
     AuditHandle, Auditor, Ctx, SimDuration, SimRng, SimTime, SimWorld, Telemetry, TelemetryHandle,
-    TraceHandle, TraceRing, INGRESS_KEY_BIT,
+    INGRESS_KEY_BIT,
 };
 
 /// Minimum CPU time charged per thread burst: no user-level loop runs in
@@ -203,14 +201,13 @@ struct CpuState {
 }
 
 /// The world-owned context a [`HostModel`] works against while handling
-/// one event: the shared fabric, the rendezvous key table, observability
-/// sinks, and this world's host-ownership window (for routing injected
+/// one event: the shared fabric, the rendezvous key table, the auditor,
+/// and this world's host-ownership window (for routing injected
 /// packets either into the local engine or into the cross-shard outbox).
 pub struct HostEnv<'a> {
     pub(crate) cfg: &'a ClusterConfig,
     pub(crate) fabric: &'a mut FabricSlot,
     pub(crate) keys: &'a HashMap<GlobalEp, ProtectionKey>,
-    pub(crate) trace: &'a TraceHandle,
     pub(crate) auditor: &'a AuditHandle,
     pub(crate) outbox: &'a mut Vec<(SimTime, u64, bool, Packet<Frame>)>,
     pub(crate) base: u32,
@@ -326,7 +323,6 @@ impl FullHost {
         ctx: &mut Ctx<'_, Event>,
     ) {
         let wake_cost = env.cfg.os.wake_cost;
-        env.trace.borrow_mut().record_with(ctx.now(), gh, "driver.msg", || format!("{msg:?}"));
         match &msg {
             DriverMsg::Loaded { ep, .. } => {
                 let ep = *ep;
@@ -544,6 +540,7 @@ impl HostModel for FullHost {
 
     fn record_metrics(&self, h: usize, out: &mut MetricsSnapshot) {
         out.record_set(&format!("host{h}.nic"), self.nic.stats());
+        out.record(format!("host{h}.nic.dma_bytes"), MetricValue::Counter(self.nic.dma().bytes()));
         out.record_set(&format!("host{h}.os"), self.os.stats());
     }
 }
@@ -617,21 +614,15 @@ pub struct World {
     /// Protection keys of every endpoint in the cluster (the rendezvous
     /// snapshot), replicated into every shard world.
     pub keys: HashMap<GlobalEp, ProtectionKey>,
-    /// Debug trace of residency and scheduling transitions on this
-    /// world's hosts; disabled by default (enable via [`World::trace_mut`]
-    /// or the cluster telemetry facade). Shared with every NIC, segment
-    /// driver, and the auditor so protocol-level events land in one
-    /// causally ordered ring.
-    pub trace: TraceHandle,
     /// Cross-layer invariant auditor; every full-fidelity NIC and segment
     /// driver on this world reports protocol events into it (delivery
     /// ledger, credit conservation, stop-and-wait channel discipline,
     /// endpoint frame accounting). Abstract hosts report nothing.
     pub auditor: AuditHandle,
-    /// Unified telemetry registry (metrics + span tracing) of this
-    /// world's hosts. `Some` only when [`ClusterConfig::telemetry`] is
-    /// set; with it absent no component holds hooks and the hot path pays
-    /// nothing.
+    /// The span log of this world's hosts: the one event log, shared by
+    /// every NIC and segment driver. `Some` only when
+    /// [`ClusterConfig::telemetry`] is set; with it absent no component
+    /// holds hooks and the hot path pays nothing.
     pub telemetry: Option<TelemetryHandle>,
     /// Replicated cluster control plane (coordinator + reconcile loop);
     /// `None` until [`crate::cluster::Cluster::install_control`]. Every
@@ -654,9 +645,9 @@ pub struct World {
 
 impl World {
     /// Build the shard world owning global hosts `[lo, hi)` of `topo`:
-    /// its host slots plus its own fabric state, trace ring, auditor and
-    /// telemetry registry. `oracle` is the cluster's one read-only view
-    /// of the scheduled fault campaign.
+    /// its host slots plus its own fabric state, span log and auditor.
+    /// `oracle` is the cluster's one read-only view of the scheduled
+    /// fault campaign.
     pub(crate) fn new(
         cfg: ClusterConfig,
         topo: Topology,
@@ -678,11 +669,9 @@ impl World {
             Mode::Gam => NicMode::Gam,
         };
         let root = SimRng::seed_from_u64(cfg.seed);
-        let trace: TraceHandle = Rc::new(RefCell::new(TraceRing::default()));
         let auditor = Auditor::handle(cfg.credits);
         {
             let mut a = auditor.borrow_mut();
-            a.set_trace(trace.clone());
             // Abstract hosts never report endpoint/frame events, so they
             // need no audit slot — at fleet scale (16k mostly-abstract
             // hosts) registering everyone would buy nothing but heap.
@@ -711,8 +700,7 @@ impl World {
                         SegmentDriver::new(cfg.os.clone(), nic_cfg.frames, cfg.seed ^ u64::from(i));
                     if cfg.audit {
                         nic.attach_auditor(auditor.clone());
-                        nic.attach_trace(trace.clone());
-                        os.attach_instrumentation(i, auditor.clone(), trace.clone());
+                        os.attach_auditor(i, auditor.clone());
                     }
                     if let Some(tel) = &telemetry {
                         nic.attach_telemetry(tel.clone());
@@ -739,7 +727,6 @@ impl World {
             fabric,
             hosts,
             keys: HashMap::new(),
-            trace,
             auditor,
             telemetry,
             cfg,
@@ -748,11 +735,6 @@ impl World {
             base: lo,
             outbox: Vec::new(),
         }
-    }
-
-    /// Mutable access to the debug trace (call `.enable()` to record).
-    pub fn trace_mut(&mut self) -> std::cell::RefMut<'_, TraceRing> {
-        self.trace.borrow_mut()
     }
 
     /// Global ids of the hosts this world owns.
@@ -897,9 +879,9 @@ impl World {
     /// an event handler (same split-borrow shape as [`World::dispatch`]).
     fn ctl_apply_os(&mut self, gh: u32, outs: Vec<OsOut>, ctx: &mut Ctx<'_, Event>) {
         let h = self.hx(gh);
-        let World { cfg, fabric, hosts, keys, trace, auditor, outbox, base, .. } = self;
+        let World { cfg, fabric, hosts, keys, auditor, outbox, base, .. } = self;
         let len = hosts.len() as u32;
-        let mut env = HostEnv { cfg, fabric, keys, trace, auditor, outbox, base: *base, len };
+        let mut env = HostEnv { cfg, fabric, keys, auditor, outbox, base: *base, len };
         let HostSlot::Full(f) = &mut hosts[h] else { return };
         f.apply_os(gh, outs, &mut env, ctx);
     }
@@ -1004,13 +986,11 @@ impl World {
             ctx.schedule(CTL_RETIRE_POLL, Event::CtlRetire { host, ep, polls: polls + 1 });
             return;
         }
-        self.trace.borrow_mut().record_with(now, host, "ctl.retire", || {
-            if quiet {
-                format!("ep {} drained after {polls} polls; freeing", ep.0)
-            } else {
-                format!("ep {} drain bound expired after {polls} polls; forcing free", ep.0)
-            }
-        });
+        if let Some(tel) = &self.telemetry {
+            let why = if quiet { "drained" } else { "drain bound expired" };
+            let detail = format!("ep={} {why} after {polls} polls", ep.0);
+            tel.borrow_mut().instant(now, host, "net", "ctl_retire", detail);
+        }
         if let Some(tid) = self.full_mut(h).ctl_threads.remove(&ep) {
             self.kill_thread(h, tid);
             self.full_mut(h).kick_cpu(host, ctx);
@@ -1032,9 +1012,9 @@ impl World {
     /// dispatch.
     fn dispatch(&mut self, gh: u32, ev: Event, ctx: &mut Ctx<'_, Event>) {
         let h = self.hx(gh);
-        let World { cfg, fabric, hosts, keys, trace, auditor, outbox, base, .. } = self;
+        let World { cfg, fabric, hosts, keys, auditor, outbox, base, .. } = self;
         let len = hosts.len() as u32;
-        let mut env = HostEnv { cfg, fabric, keys, trace, auditor, outbox, base: *base, len };
+        let mut env = HostEnv { cfg, fabric, keys, auditor, outbox, base: *base, len };
         hosts[h].on_event(gh, ev, &mut env, ctx);
     }
 
@@ -1142,9 +1122,6 @@ impl SimWorld for World {
                 // Observability fires once globally (host 0 lives on the
                 // first shard).
                 if host == 0 {
-                    self.trace
-                        .borrow_mut()
-                        .record_with(ctx.now(), 0, "fault.op", || format!("{op:?}"));
                     if let Some(tel) = &self.telemetry {
                         tel.borrow_mut().instant(ctx.now(), 0, "net", "fault", format!("{op:?}"));
                     }
@@ -1189,7 +1166,6 @@ impl SimWorld for World {
                 }
                 self.ctl_local(now, host, &op, ctx);
                 if host == 0 {
-                    self.trace.borrow_mut().record_with(now, 0, "ctl.op", || format!("{op:?}"));
                     if let Some(tel) = &self.telemetry {
                         tel.borrow_mut().instant(now, 0, "net", "ctl", format!("{op:?}"));
                     }

@@ -245,10 +245,13 @@ fn oversized_payloads_are_rejected() {
 
 #[test]
 fn trace_records_driver_activity() {
-    let mut c = Cluster::new(ClusterConfig::now(2));
-    c.telemetry().trace_enable();
+    let mut c = Cluster::new(ClusterConfig::now(2).with_telemetry(true));
     let a = c.create_endpoint(HostId(0));
     c.make_resident(a);
-    let text = c.telemetry().trace_text();
-    assert!(text.contains("Loaded"), "trace must show the load:\n{text}");
+    let log = c.telemetry().span_log();
+    let id = log
+        .lines()
+        .find_map(|l| l.split_once("h0 os.seg/ep_load begin ")?.1.split(' ').next())
+        .unwrap_or_else(|| panic!("span log must show the load:\n{log}"));
+    assert!(log.contains(&format!("h0 end {id}")), "the load span must close:\n{log}");
 }

@@ -26,7 +26,7 @@ use crate::tel::NicTelemetry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use vnet_net::{HostId, LinkId, Packet, RouteOracle};
-use vnet_sim::{AuditHandle, Auditor, SimDuration, SimRng, SimTime, TelemetryHandle, TraceHandle};
+use vnet_sim::{AuditHandle, Auditor, SimDuration, SimRng, SimTime, TelemetryHandle};
 
 /// Events delivered to a NIC by the simulation engine.
 #[derive(Clone, Debug)]
@@ -191,8 +191,6 @@ pub struct Nic {
     scratch_ack: Vec<NicOut>,
     /// Cross-layer invariant auditor (hooks are no-ops when detached).
     auditor: Option<AuditHandle>,
-    /// Shared causal trace ring (records are no-ops when detached).
-    trace: Option<TraceHandle>,
     /// Unified telemetry (hooks are no-ops when detached).
     tel: Option<NicTelemetry>,
     /// Scheduled-fault route oracle (campaign failover planning); `None`
@@ -242,7 +240,6 @@ impl Nic {
             scratch_step: Vec::new(),
             scratch_ack: Vec::new(),
             auditor: None,
-            trace: None,
             tel: None,
             oracle: None,
             oracle_buf: Vec::new(),
@@ -257,16 +254,9 @@ impl Nic {
         self.auditor = Some(auditor);
     }
 
-    /// Attach the shared trace ring; retransmit/unbind/abort paths record
-    /// causal entries into it (no-ops while the ring is disabled).
-    pub fn attach_trace(&mut self, trace: TraceHandle) {
-        self.trace = Some(trace);
-    }
-
-    /// Attach the unified telemetry registry; per-NIC metrics are
-    /// registered under `host{N}.nic.*` and protocol episodes
-    /// (retransmit, backoff, unbind, DMA transfers) become spans on the
-    /// `nic.chan` / `nic.dma` / `nic.fw` tracks.
+    /// Attach the shard's span log; protocol episodes (retransmit,
+    /// backoff, unbind, DMA transfers) become spans on the `nic.chan` /
+    /// `nic.dma` / `nic.fw` tracks.
     pub fn attach_telemetry(&mut self, tel: TelemetryHandle) {
         self.tel = Some(NicTelemetry::new(self.host.0, tel));
     }
@@ -300,12 +290,6 @@ impl Nic {
     fn audit(&self, f: impl FnOnce(&mut Auditor)) {
         if let Some(a) = &self.auditor {
             f(&mut a.borrow_mut());
-        }
-    }
-
-    fn trace_with(&self, at: SimTime, tag: &'static str, detail: impl FnOnce() -> String) {
-        if let Some(t) = &self.trace {
-            t.borrow_mut().record_with(at, self.host.0, tag, detail);
         }
     }
 
@@ -402,9 +386,7 @@ impl Nic {
     /// firmware when both endpoints share a host (processes on one node
     /// communicating through a virtual network never touch the wire).
     fn emit(&mut self, pkt: Packet<Frame>, out: &mut Vec<NicOut>) {
-        if let Some(t) = &mut self.tel {
-            t.counters().frames_tx.inc();
-        }
+        self.stats.frames_tx.inc();
         if pkt.dst == self.host {
             self.inbox.push_back(FwWork::Rx { src: self.host, frame: pkt.payload });
             // Always called from inside firmware processing; the
@@ -551,9 +533,7 @@ impl Nic {
         corrupt: bool,
         out: &mut Vec<NicOut>,
     ) {
-        if let Some(t) = &mut self.tel {
-            t.counters().frames_rx.inc();
-        }
+        self.stats.frames_rx.inc();
         if corrupt {
             self.stats.crc_drops.inc();
             return;
@@ -891,12 +871,6 @@ impl Nic {
         };
         self.stats.failovers.inc();
         self.audit(|a| a.on_failover(now, h, uid));
-        self.trace_with(now, "nic.failover", || {
-            format!(
-                "uid {uid} h{}#{} → #{} around scheduled-down route",
-                from.peer.0, from.idx, to.idx
-            )
-        });
         if let Some(t) = &mut self.tel {
             t.retx_end(now, &from);
             t.instant(now, "failover", format!("uid={uid:#x} chan {} → {}", from.idx, to.idx));
@@ -1506,7 +1480,6 @@ impl Nic {
         self.troubled.remove(&ps.uid);
         let h = self.host.0;
         self.audit(|a| a.on_send_aborted(now, h, ps.uid));
-        self.trace_with(now, "nic.abort", || format!("uid {} dropped: {ep} gone", ps.uid));
         if let Some(t) = &mut self.tel {
             t.park_end(now, ps.uid);
             t.instant(now, "send_aborted", format!("uid={:#x} ep={} gone", ps.uid, ep.0));
@@ -1520,7 +1493,6 @@ impl Nic {
         let uid = msg.uid;
         self.troubled.remove(&uid); // bounced, not recovered: no sample
         self.audit(|a| a.on_bounced(now, h, uid));
-        self.trace_with(now, "nic.bounce", || format!("uid {uid} returned to sender ({ep})"));
         if let Some(t) = &mut self.tel {
             t.park_end(now, uid);
             t.instant(now, "bounce", format!("uid={uid:#x} ep={}", ep.0));
@@ -1590,15 +1562,6 @@ impl Nic {
                 GlobalEp::new(key.peer, inf.frame.dst_ep),
                 inf.frame.key,
             ));
-            self.trace_with(now, "nic.unbind", || {
-                format!(
-                    "uid {uid} → h{}#{} after {} retx (unbind cycle {})",
-                    key.peer.0,
-                    key.idx,
-                    inf.retx,
-                    unbind_cycles + 1
-                )
-            });
             if let Some(t) = &mut self.tel {
                 t.retx_end(now, &key);
                 t.instant(
@@ -1658,7 +1621,6 @@ impl Nic {
         };
         let gen = inf.gen;
         let uid = inf.uid;
-        let n_retx = inf.retx;
         let payload_bytes = match &inf.frame.kind {
             FrameKind::Data(m) => m.payload_bytes,
             _ => 0,
@@ -1675,15 +1637,6 @@ impl Nic {
         }
         let h = self.host.0;
         self.audit(|a| a.on_channel_retransmit(now, h, key.peer.0, key.idx, uid));
-        self.trace_with(now, "nic.retx", || {
-            format!(
-                "uid {uid} → h{}#{} retx {} next rto {:.1}us",
-                key.peer.0,
-                key.idx,
-                n_retx,
-                rto.as_micros_f64()
-            )
-        });
         self.cfg.costs.retransmit
     }
 
@@ -1845,9 +1798,10 @@ impl Nic {
                     self.dec_in_flight(now, ep, out);
                     let h = self.host.0;
                     self.audit(|a| a.on_send_aborted(now, h, uid));
-                    self.trace_with(now, "nic.abort", || {
-                        format!("uid {uid} staged DMA aborted: {ep} unregistered")
-                    });
+                    if let Some(t) = &mut self.tel {
+                        let detail = format!("uid={uid:#x} ep={} unregistered", ep.0);
+                        t.instant(now, "send_aborted", detail);
+                    }
                 }
                 self.cfg.costs.driver_op / 10
             }

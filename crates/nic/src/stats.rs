@@ -66,6 +66,10 @@ pub struct NicStats {
     /// Time from a message's first retransmission-timer expiry to its
     /// acknowledgment, µs — the time-to-recovery distribution.
     pub(crate) recovery_us: Sampler,
+    /// Frames injected into the fabric (data, acks, everything).
+    pub(crate) frames_tx: Counter,
+    /// Frames handed up from the fabric (before the CRC check).
+    pub(crate) frames_rx: Counter,
 }
 
 impl NicStats {
@@ -128,6 +132,8 @@ impl MetricSet for NicStats {
         v.metric("failovers", MetricValue::Counter(self.failovers.get()));
         v.metric("resyncs", MetricValue::Counter(self.resyncs.get()));
         v.metric("recovery_us", MetricValue::Summary(Summary::from_sampler(&self.recovery_us)));
+        v.metric("frames_tx", MetricValue::Counter(self.frames_tx.get()));
+        v.metric("frames_rx", MetricValue::Counter(self.frames_rx.get()));
     }
 }
 

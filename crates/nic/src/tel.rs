@@ -1,11 +1,10 @@
-//! Pre-resolved telemetry wiring for one NIC.
+//! Span-log wiring for one NIC.
 //!
 //! The firmware holds an `Option<NicTelemetry>`; when detached (the
 //! default) every hook is a `None` check and the hot path pays nothing —
-//! the same gating discipline as the invariant auditor. When attached,
-//! counters are pre-resolved [`CounterHandle`]s (one `Cell` bump per
-//! event, no registry lookup, no `RefCell` borrow) and protocol episodes
-//! become spans on per-layer Perfetto tracks:
+//! the same gating discipline as the invariant auditor. Counting is
+//! `NicStats`'s job; when attached, protocol episodes become spans on
+//! per-layer Perfetto tracks:
 //!
 //! * `nic.chan` — retransmission episodes (first retransmit → ack or
 //!   unbind) and park/backoff episodes (transient NACK or post-unbind
@@ -16,11 +15,11 @@
 //!   the completion time is known at start and the whole span is
 //!   recorded immediately.
 //! * `nic.fw` — instantaneous markers: NACKs sent/received (with
-//!   reason), unbinds, bounced messages.
+//!   reason), unbinds, failovers, aborted sends, bounced messages.
 
 use crate::channel::ChannelKey;
 use std::collections::HashMap;
-use vnet_sim::telemetry::{CounterHandle, SpanDetail, SpanId, TelemetryHandle};
+use vnet_sim::telemetry::{SpanDetail, SpanId, TelemetryHandle};
 use vnet_sim::SimTime;
 
 /// Perfetto track for channel retransmit/backoff episodes.
@@ -30,37 +29,10 @@ pub const TRACK_DMA: &str = "nic.dma";
 /// Perfetto track for instantaneous firmware markers.
 pub const TRACK_FW: &str = "nic.fw";
 
-/// Pre-resolved per-NIC counter handles, materialized on first touch.
-pub(crate) struct NicCounters {
-    /// Frames injected into the fabric (data, acks, everything).
-    pub(crate) frames_tx: CounterHandle,
-    /// Frames handed up from the fabric (before CRC check).
-    pub(crate) frames_rx: CounterHandle,
-    /// Bytes moved by the SBUS DMA engine.
-    pub(crate) dma_bytes: CounterHandle,
-}
-
-impl NicCounters {
-    fn resolve(host: u32, tel: &TelemetryHandle) -> Self {
-        let mut t = tel.borrow_mut();
-        NicCounters {
-            frames_tx: t.counter(&format!("host{host}.nic.frames_tx")),
-            frames_rx: t.counter(&format!("host{host}.nic.frames_rx")),
-            dma_bytes: t.counter(&format!("host{host}.nic.dma_bytes")),
-        }
-    }
-}
-
 /// Telemetry state owned by one NIC (see module docs).
 pub(crate) struct NicTelemetry {
     tel: TelemetryHandle,
     host: u32,
-    /// Counter handles, registered lazily: a fleet-scale cluster attaches
-    /// telemetry to thousands of hosts, most of which never move a frame,
-    /// and eager registration would allocate three `host{N}.*` name
-    /// strings per host at build time. `None` until the first counter
-    /// bump.
-    counters: Option<NicCounters>,
     /// Open retransmission-episode span per channel; begun at the first
     /// retransmit of a binding, ended on completion or unbind.
     retx_spans: HashMap<ChannelKey, SpanId>,
@@ -74,25 +46,15 @@ impl NicTelemetry {
         NicTelemetry {
             tel,
             host,
-            counters: None,
             retx_spans: HashMap::new(),
             park_spans: HashMap::new(),
         }
-    }
-
-    /// The counter handles, registering them on first touch.
-    pub(crate) fn counters(&mut self) -> &NicCounters {
-        if self.counters.is_none() {
-            self.counters = Some(NicCounters::resolve(self.host, &self.tel));
-        }
-        self.counters.as_ref().expect("just resolved")
     }
 
     /// Record a whole DMA transfer span (`at` → `done`). This is the one
     /// per-message span hook, so the detail is the allocation-free
     /// [`SpanDetail::Bytes`], not a formatted string.
     pub(crate) fn dma_span(&mut self, at: SimTime, done: SimTime, name: &'static str, bytes: u32) {
-        self.counters().dma_bytes.add(bytes as u64);
         let mut t = self.tel.borrow_mut();
         let id = t.span_begin(at, self.host, TRACK_DMA, name, SpanDetail::Bytes(bytes));
         t.span_end(done, id);

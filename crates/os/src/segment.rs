@@ -11,7 +11,7 @@ use crate::stats::OsStats;
 use std::collections::{HashMap, HashSet, VecDeque};
 use vnet_nic::{DriverMsg, DriverOp, EndpointImage, EpId, ProtectionKey};
 use vnet_sim::telemetry::{SpanId, TelemetryHandle};
-use vnet_sim::{AuditHandle, Auditor, EpPhase, SimDuration, SimRng, SimTime, TraceHandle};
+use vnet_sim::{AuditHandle, Auditor, EpPhase, SimDuration, SimRng, SimTime};
 
 /// Perfetto track for segment-driver residency transitions.
 pub const TRACK_SEG: &str = "os.seg";
@@ -182,12 +182,10 @@ pub struct SegmentDriver {
     load_seq: u64,
     rng: SimRng,
     stats: OsStats,
-    /// Host index for audit/trace records (set by the composing world).
+    /// Host index for audit and span records (set by the composing world).
     host_idx: u32,
     /// Cross-layer invariant auditor (hooks are no-ops when detached).
     auditor: Option<AuditHandle>,
-    /// Shared causal trace ring (records are no-ops when detached).
-    trace: Option<TraceHandle>,
     /// Unified telemetry (hooks are no-ops when detached).
     tel: Option<OsTelemetry>,
     /// Latest simulated time seen by any timed entry point; stands in for
@@ -214,24 +212,21 @@ impl SegmentDriver {
             stats: OsStats::default(),
             host_idx: 0,
             auditor: None,
-            trace: None,
             tel: None,
             now_hint: SimTime::ZERO,
         }
     }
 
-    /// Attach the cluster-wide invariant auditor and shared trace ring;
-    /// residency transitions are mirrored into the auditor and the
-    /// load/unload/pageout paths record causal trace entries. `host` is
-    /// this node's index in the composing world.
-    pub fn attach_instrumentation(&mut self, host: u32, auditor: AuditHandle, trace: TraceHandle) {
+    /// Attach the cluster-wide invariant auditor; residency transitions
+    /// are mirrored into it. `host` is this node's index in the composing
+    /// world.
+    pub fn attach_auditor(&mut self, host: u32, auditor: AuditHandle) {
         self.host_idx = host;
         self.auditor = Some(auditor);
-        self.trace = Some(trace);
     }
 
-    /// Attach the unified telemetry registry; residency transitions
-    /// become spans on the `os.seg` track and faults become markers.
+    /// Attach the shard's span log; residency transitions become spans on
+    /// the `os.seg` track, and faults, frees and pageouts become markers.
     /// `host` is this node's index in the composing world.
     pub fn attach_telemetry(&mut self, host: u32, tel: TelemetryHandle) {
         self.host_idx = host;
@@ -244,10 +239,17 @@ impl SegmentDriver {
         }
     }
 
-    fn trace_with(&self, at: SimTime, tag: &'static str, detail: impl FnOnce() -> String) {
-        if let Some(t) = &self.trace {
-            t.borrow_mut().record_with(at, self.host_idx, tag, detail);
+    fn instant(&mut self, at: SimTime, name: &'static str, ep: EpId, why: &str) {
+        if let Some(t) = &mut self.tel {
+            t.instant(at, name, format!("ep={} {why}", ep.0));
         }
+    }
+
+    /// The endpoint record is gone: tell the auditor and mark the log.
+    fn destroyed(&mut self, at: SimTime, ep: EpId, why: &str) {
+        let h = self.host_idx;
+        self.audit(|a| a.os_destroyed(at, h, ep.0));
+        self.instant(at, "ep_freed", ep, why);
     }
 
     fn audit_phase(&self, at: SimTime, ep: EpId, to: EpPhase) {
@@ -361,14 +363,12 @@ impl SegmentDriver {
             EpState::HostRo | EpState::HostRw => {
                 // Stay on host, writable: the service drains in place.
                 rec.state = EpState::HostRw;
-                self.trace_with(now, "os.migrate", || format!("{ep} held on host (migrating)"));
             }
             EpState::NicRw => {
                 rec.state = EpState::Unloading;
                 let clock = self.tick(0);
                 out.push(OsOut::Nic(DriverOp::Unload { ep, clock }));
                 self.audit_phase(now, ep, EpPhase::Unloading);
-                self.trace_with(now, "os.unload", || format!("{ep} unloading (migrating)"));
                 if let Some(t) = &mut self.tel {
                     t.unload_begin(now, ep, "migrating".to_string());
                 }
@@ -392,7 +392,7 @@ impl SegmentDriver {
             return;
         }
         rec.migrating = false;
-        self.trace_with(now, "os.migrate", || format!("{ep} hold lifted (lame-duck drain)"));
+        self.instant(now, "hold_lifted", ep, "lame-duck drain");
         self.nudge_drain(now, ep, out);
     }
 
@@ -457,7 +457,6 @@ impl SegmentDriver {
                 out.push(OsOut::Nic(DriverOp::Unload { ep, clock }));
                 // Unregister happens when the unload completes.
                 self.audit_phase(now, ep, EpPhase::Unloading);
-                self.trace_with(now, "os.unload", || format!("{ep} unloading (freed)"));
                 if let Some(t) = &mut self.tel {
                     t.unload_begin(now, ep, "freed".to_string());
                 }
@@ -471,9 +470,7 @@ impl SegmentDriver {
                 self.abort_queued_sends(now, rec.image.as_deref());
                 let clock = self.tick(0);
                 out.push(OsOut::Nic(DriverOp::Unregister { ep, clock }));
-                let h = self.host_idx;
-                self.audit(|a| a.os_destroyed(now, h, ep.0));
-                self.trace_with(now, "os.free", || format!("{ep} freed while parked"));
+                self.destroyed(now, ep, "parked");
             }
         }
     }
@@ -618,7 +615,6 @@ impl SegmentDriver {
                     self.eps.get_mut(&ep).unwrap().state = EpState::PagingIn;
                     out.push(OsOut::After(self.cfg.disk_delay, OsEvent::PageInDone { ep }));
                     self.audit_phase(now, ep, EpPhase::PagingIn);
-                    self.trace_with(now, "os.pagein", || format!("{ep} swap-in started"));
                     if let Some(t) = &mut self.tel {
                         t.pagein_begin(now, ep);
                     }
@@ -655,9 +651,6 @@ impl SegmentDriver {
             };
             self.eps.get_mut(&victim).unwrap().state = EpState::Unloading;
             self.audit_phase(now, victim, EpPhase::Unloading);
-            self.trace_with(now, "os.unload", || {
-                format!("{victim} evicted to make room for {target}")
-            });
             if let Some(t) = &mut self.tel {
                 t.unload_begin(now, victim, format!("evicted for ep={}", target.0));
             }
@@ -693,12 +686,6 @@ impl SegmentDriver {
         if swapped_in || held {
             self.audit_phase(now, ep, EpPhase::Host);
         }
-        if swapped_in {
-            self.trace_with(now, "os.pagein", || format!("{ep} swap-in done"));
-        }
-        if held {
-            self.trace_with(now, "os.pagein", || format!("{ep} swapped in, held (migrating)"));
-        }
         if let Some(t) = &mut self.tel {
             t.pagein_end(now, ep);
         }
@@ -731,9 +718,6 @@ impl SegmentDriver {
         let clock = self.tick(0);
         out.push(OsOut::Nic(DriverOp::Load { ep, image, clock }));
         self.audit_phase(now, ep, EpPhase::Loading);
-        self.trace_with(now, "os.load", || {
-            format!("{ep} load issued ({}/{} frames)", self.nic_occupied, self.frames_total)
-        });
         // The daemon waits for Loaded before taking the next request: remap
         // traffic is serialized through the single SBUS engine anyway.
     }
@@ -781,10 +765,6 @@ impl SegmentDriver {
                 }
                 if let Some(phase) = loaded_phase {
                     self.audit_phase(now, ep, phase);
-                    self.trace_with(now, "os.load", || match phase {
-                        EpPhase::Unloading => format!("{ep} loaded but freed; unloading"),
-                        _ => format!("{ep} resident"),
-                    });
                 }
                 // Continue the daemon pipeline.
                 if !self.daemon_q.is_empty() {
@@ -827,16 +807,6 @@ impl SegmentDriver {
                 if parked || migrated {
                     self.audit_phase(now, ep, EpPhase::Host);
                 }
-                if parked {
-                    self.trace_with(now, "os.unload", || {
-                        format!("{ep} parked on host (queued sends: {nonempty})")
-                    });
-                }
-                if migrated {
-                    self.trace_with(now, "os.unload", || {
-                        format!("{ep} unloaded, held on host (migrating)")
-                    });
-                }
                 if nonempty {
                     // §4.2: "Eventually, the kernel makes the non-empty
                     // endpoint resident so communication can occur." An
@@ -851,9 +821,7 @@ impl SegmentDriver {
                     self.eps.remove(&ep);
                     let clock = self.tick(0);
                     out.push(OsOut::Nic(DriverOp::Unregister { ep, clock }));
-                    let h = self.host_idx;
-                    self.audit(|a| a.os_destroyed(now, h, ep.0));
-                    self.trace_with(now, "os.free", || format!("{ep} unloaded and freed"));
+                    self.destroyed(now, ep, "unloaded");
                 }
                 // If a target was waiting for this frame, load it now.
                 if let Some(target) = self.pending_after_unload.take() {
@@ -904,7 +872,7 @@ impl SegmentDriver {
                 self.stats.page_outs.inc();
                 let at = self.now_hint;
                 self.audit_phase(at, ep, EpPhase::Disk);
-                self.trace_with(at, "os.pageout", || format!("{ep} paged out to swap"));
+                self.instant(at, "page_out", ep, "to swap");
                 true
             }
             _ => false,

@@ -39,17 +39,12 @@
 
 use crate::fxhash::{fx_map_with_capacity, FxHashMap};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::TraceRing;
 use std::cell::RefCell;
 use std::fmt;
 use std::rc::Rc;
 
 /// Shared, single-threaded handle to an [`Auditor`].
 pub type AuditHandle = Rc<RefCell<Auditor>>;
-
-/// Shared, single-threaded handle to a [`TraceRing`] (so instrumented
-/// components on every layer can record into one causal log).
-pub type TraceHandle = Rc<RefCell<TraceRing>>;
 
 /// One recorded invariant breach.
 #[derive(Clone, Debug)]
@@ -197,7 +192,6 @@ pub struct Auditor {
     /// Admitted request bytes per `(tenant, epoch index)`.
     tenant_bytes: FxHashMap<(u32, u64), u64>,
     counters: AuditCounters,
-    trace: Option<TraceHandle>,
 }
 
 impl Default for Auditor {
@@ -222,20 +216,12 @@ impl Auditor {
             ep_tenant: FxHashMap::default(),
             tenant_bytes: FxHashMap::default(),
             counters: AuditCounters::default(),
-            trace: None,
         }
     }
 
     /// Wrap a fresh auditor in a shareable handle.
     pub fn handle(credit_limit: u32) -> AuditHandle {
         Rc::new(RefCell::new(Auditor::new(credit_limit)))
-    }
-
-    /// Attach the shared trace ring; every violation is also recorded
-    /// there (tag `audit.violation`) so the causal dump shows where in
-    /// the event stream the invariant broke.
-    pub fn set_trace(&mut self, trace: TraceHandle) {
-        self.trace = Some(trace);
     }
 
     /// Declare a host and its NI endpoint frame budget.
@@ -258,11 +244,6 @@ impl Auditor {
         detail: String,
     ) {
         self.total_violations += 1;
-        if let Some(t) = &self.trace {
-            t.borrow_mut().record_with(at, host, "audit.violation", || {
-                format!("{invariant}: {detail}")
-            });
-        }
         if self.violations.len() < MAX_KEPT_VIOLATIONS {
             self.violations.push(Violation { invariant, at, host, tenant, detail });
         }
@@ -746,7 +727,7 @@ impl Auditor {
     /// resolved fate, while two resolved fates for one uid are the
     /// cross-shard form of an exactly-once violation. Kept violations are
     /// put in canonical `(time, host)` order, so the report is identical
-    /// to a sequential run's. The fold has no trace ring attached.
+    /// to a sequential run's.
     pub fn fold<'a>(shards: impl IntoIterator<Item = &'a Auditor>) -> Auditor {
         let mut out: Option<Auditor> = None;
         let mut joined: Vec<Violation> = Vec::new();
@@ -812,16 +793,11 @@ impl Auditor {
 
     /// Keep violations a cluster-wide check found on a [`Auditor::fold`]:
     /// `found` are the kept records, `total` the full count. They are
-    /// traced and retained like this auditor's own, so every later fold
+    /// retained like this auditor's own, so every later fold
     /// reports them.
     pub fn record_found(&mut self, found: &[Violation], total: u64) {
         self.total_violations += total;
         for v in found {
-            if let Some(t) = &self.trace {
-                t.borrow_mut().record_with(v.at, v.host, "audit.violation", || {
-                    format!("{}: {}", v.invariant, v.detail)
-                });
-            }
             if self.violations.len() < MAX_KEPT_VIOLATIONS {
                 self.violations.push(v.clone());
             }
@@ -852,7 +828,7 @@ impl Auditor {
         self.total_violations > 0
     }
 
-    /// Violations recorded so far (first [`MAX_KEPT_VIOLATIONS`] kept
+    /// Violations recorded so far (the first `MAX_KEPT_VIOLATIONS` kept
     /// verbatim; see [`Auditor::total_violations`] for the full count).
     pub fn violations(&self) -> &[Violation] {
         &self.violations
@@ -1022,19 +998,6 @@ mod tests {
         assert!(!a.has_violations(), "{:?}", a.violations());
         a.os_destroyed(t(6), 0, 0);
         assert_eq!(named(&a), vec!["audit.residency"]);
-    }
-
-    #[test]
-    fn violations_record_into_attached_trace() {
-        let mut a = Auditor::new(32);
-        let trace: TraceHandle = Rc::new(RefCell::new(TraceRing::new(16)));
-        trace.borrow_mut().enable();
-        a.set_trace(trace.clone());
-        a.on_delivered(t(1), 1, 7);
-        a.on_delivered(t(2), 1, 7);
-        let text = trace.borrow().to_text();
-        assert!(text.contains("audit.violation"), "{text}");
-        assert!(text.contains("audit.exactly-once"), "{text}");
     }
 
     #[test]

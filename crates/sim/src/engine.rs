@@ -9,8 +9,8 @@
 //! two events at the same timestamp are delivered in the order they were
 //! scheduled.
 //!
-//! The queue is a hierarchical [`TimingWheel`](crate::wheel::TimingWheel)
-//! (see that module for the design); the per-event loop performs no heap
+//! The queue is a hierarchical [`TimingWheel`] (see [`crate::wheel`]
+//! for the design); the per-event loop performs no heap
 //! allocation — [`Ctx`] borrows the engine's wheel and writes scheduled
 //! events straight into it.
 

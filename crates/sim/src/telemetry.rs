@@ -1,23 +1,17 @@
-//! Unified telemetry: typed metrics registry, span tracing, and exporters.
+//! Unified telemetry: the span log, metric enumeration, and exporters.
 //!
-//! This module is the observability substrate for the whole stack. It
-//! replaces ad-hoc per-crate stat structs and parallel trace paths with
-//! one coherent model:
+//! This module is the observability substrate for the whole stack:
 //!
-//! * a **metrics registry** ([`Telemetry`]) of named counters, gauges,
-//!   samplers and histograms. Registration returns *pre-resolved handles*
-//!   ([`CounterHandle`], [`GaugeHandle`], …) that components store and
-//!   bump in O(1) on the hot path — no name lookup, no `RefCell` borrow
-//!   per increment. When telemetry is disabled components simply never
-//!   attach a handle, so the fast path pays nothing (the same gating
-//!   pattern as the invariant auditor);
-//! * **span tracing**: begin/end spans stamped with simulated time,
-//!   recording episodes that cross layers — NIC firmware phases, DMA
-//!   transfers, channel retransmit/backoff episodes, OS residency
-//!   transitions — plus instantaneous markers;
-//! * a **[`MetricSet`]** trait through which legacy stat structs
-//!   (`NicStats`, `OsStats`, fabric link counters) are enumerated
-//!   generically into a [`MetricsSnapshot`];
+//! * the **span log** ([`Telemetry`]) is the one event log: begin/end
+//!   spans stamped with simulated time, recording episodes that cross
+//!   layers — NIC firmware phases, DMA transfers, channel
+//!   retransmit/backoff episodes, OS residency transitions — plus
+//!   instantaneous markers. When telemetry is disabled components simply
+//!   never attach a handle, so the fast path pays nothing (the same
+//!   gating pattern as the invariant auditor);
+//! * a **[`MetricSet`]** trait through which the component stat structs
+//!   (`NicStats`, `OsStats`, fabric link counters) — the only counters —
+//!   are enumerated generically into a [`MetricsSnapshot`];
 //! * two **exporters**: a flat metrics snapshot/delta dump (JSON via
 //!   [`MetricsSnapshot::to_json`], text table via
 //!   [`MetricsSnapshot::to_table`]) and a Chrome trace-event / Perfetto
@@ -44,102 +38,21 @@
 //! time.
 
 use crate::fxhash::FxHashMap;
-use crate::stats::{LogHistogram, Sampler};
+use crate::stats::Sampler;
 use crate::time::SimTime;
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
-/// Shared, single-threaded handle to a [`Telemetry`] registry.
+/// Shared, single-threaded handle to a [`Telemetry`] span log.
 pub type TelemetryHandle = Rc<RefCell<Telemetry>>;
-
-// ---------------------------------------------------------------------------
-// Hot-path handles
-// ---------------------------------------------------------------------------
-
-/// Pre-resolved handle to a registered counter. Cloning is cheap (`Rc`);
-/// incrementing is a single `Cell` bump.
-#[derive(Clone, Debug)]
-pub struct CounterHandle(Rc<Cell<u64>>);
-
-impl CounterHandle {
-    /// Add one.
-    #[inline]
-    pub fn inc(&self) {
-        self.0.set(self.0.get().wrapping_add(1));
-    }
-
-    /// Add `k`.
-    #[inline]
-    pub fn add(&self, k: u64) {
-        self.0.set(self.0.get().wrapping_add(k));
-    }
-
-    /// Current count.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0.get()
-    }
-}
-
-/// Pre-resolved handle to a registered gauge (last-write-wins `f64`).
-#[derive(Clone, Debug)]
-pub struct GaugeHandle(Rc<Cell<f64>>);
-
-impl GaugeHandle {
-    /// Set the gauge.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        self.0.set(v);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> f64 {
-        self.0.get()
-    }
-}
-
-/// Pre-resolved handle to a registered sampler (full-distribution).
-#[derive(Clone, Debug)]
-pub struct SamplerHandle(Rc<RefCell<Sampler>>);
-
-impl SamplerHandle {
-    /// Record one observation.
-    #[inline]
-    pub fn record(&self, x: f64) {
-        self.0.borrow_mut().record(x);
-    }
-
-    /// Snapshot of the underlying sampler.
-    pub fn sampler(&self) -> Sampler {
-        self.0.borrow().clone()
-    }
-}
-
-/// Pre-resolved handle to a registered log₂ histogram.
-#[derive(Clone, Debug)]
-pub struct HistogramHandle(Rc<RefCell<LogHistogram>>);
-
-impl HistogramHandle {
-    /// Record one value.
-    #[inline]
-    pub fn record(&self, v: u64) {
-        self.0.borrow_mut().record(v);
-    }
-
-    /// Snapshot of the underlying histogram.
-    pub fn histogram(&self) -> LogHistogram {
-        self.0.borrow().clone()
-    }
-}
 
 // ---------------------------------------------------------------------------
 // MetricSet: generic enumeration of metric-bearing structs
 // ---------------------------------------------------------------------------
 
-/// Five-number summary of a distribution (from a sampler or histogram).
+/// Five-number summary of a sampled distribution.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Summary {
     /// Number of observations.
@@ -166,17 +79,6 @@ impl Summary {
             max: s.quantile(1.0),
         }
     }
-
-    /// Summarize a [`LogHistogram`] (quantiles are bucket upper bounds).
-    pub fn from_histogram(h: &LogHistogram) -> Summary {
-        Summary {
-            count: h.count(),
-            mean: h.mean(),
-            p50: h.quantile_bound(0.5) as f64,
-            p95: h.quantile_bound(0.95) as f64,
-            max: h.quantile_bound(1.0) as f64,
-        }
-    }
 }
 
 /// One metric observation, as enumerated by a [`MetricSet`].
@@ -198,9 +100,9 @@ pub trait MetricVisitor {
 
 /// A struct whose metrics can be enumerated generically.
 ///
-/// Implemented by `NicStats`, `OsStats`, the fabric, and the
-/// [`Telemetry`] registry itself, so callers iterate metrics uniformly
-/// instead of reaching into per-crate pub fields.
+/// Implemented by `NicStats`, `OsStats`, the fabric and the control
+/// plane, so callers iterate metrics uniformly instead of reaching into
+/// per-crate pub fields.
 pub trait MetricSet {
     /// Enumerate every metric into `v`, using short dot-free names.
     fn visit_metrics(&self, v: &mut dyn MetricVisitor);
@@ -459,37 +361,29 @@ enum SpanEvent {
 }
 
 // ---------------------------------------------------------------------------
-// The registry
+// The span log
 // ---------------------------------------------------------------------------
 
-/// The telemetry registry: named metric storage plus the span log.
-///
-/// One registry serves a whole cluster; components register metrics at
-/// attach time (full names, e.g. `host3.nic.dma_bytes`) and keep the
-/// returned handles for the hot path.
+/// Set in the id of a span whose begin was dropped at capacity, so its
+/// end is ignored. Host fields stay far below bit 63 (`host << 40`).
+const DROPPED: u64 = 1 << 63;
+
+/// The span log of one shard world: every span and instant its hosts
+/// record, bounded at `span_cap` events.
 #[derive(Debug, Default)]
 pub struct Telemetry {
-    counters: Vec<(String, Rc<Cell<u64>>)>,
-    gauges: Vec<(String, Rc<Cell<f64>>)>,
-    samplers: Vec<(String, Rc<RefCell<Sampler>>)>,
-    histograms: Vec<(String, Rc<RefCell<LogHistogram>>)>,
-    /// Name → position in the matching table above, so registration is
-    /// O(1) per name instead of a linear scan
-    /// (registering N host-prefixed metrics used to be O(N²), which
-    /// dominated build time at fleet scale). The Vecs stay canonical:
-    /// snapshots iterate them in registration order.
-    counter_idx: FxHashMap<String, usize>,
-    gauge_idx: FxHashMap<String, usize>,
-    sampler_idx: FxHashMap<String, usize>,
-    histogram_idx: FxHashMap<String, usize>,
     spans: Vec<SpanEvent>,
     span_cap: usize,
+    /// Accepted spans not yet ended. Each holds a reserved slot for its
+    /// end, so the log never outgrows `span_cap` and every accepted span
+    /// can close.
+    open: usize,
     dropped_spans: u64,
     /// Per-host span sequence numbers. Span ids are `(host << 40) | seq`
     /// rather than a single global counter so that a parallel run — where
-    /// hosts are spread over per-shard registries — assigns each span the
-    /// same id a sequential run would (each host's spans open in host
-    /// event order, which sharding preserves).
+    /// hosts are spread over per-shard logs — assigns each span the same
+    /// id a sequential run would (each host's spans open in host event
+    /// order, which sharding preserves).
     span_seq: FxHashMap<u32, u64>,
 }
 
@@ -510,14 +404,14 @@ impl Telemetry {
     /// growth (spans are episode-scale, not per-packet).
     pub const DEFAULT_SPAN_CAP: usize = 1 << 18;
 
-    /// A fresh registry with the default span capacity.
+    /// A fresh log with the default span capacity.
     pub fn new() -> Self {
         Self::with_span_cap(Self::DEFAULT_SPAN_CAP)
     }
 
-    /// A fresh registry holding at most `cap` span events; further
-    /// begin/instant events are dropped and counted
-    /// ([`Telemetry::dropped_spans`]).
+    /// A fresh log holding at most `cap` events (ends included): it keeps
+    /// the first events that fit, and later begins and instants are
+    /// dropped and counted ([`Telemetry::dropped_spans`]).
     pub fn with_span_cap(cap: usize) -> Self {
         Telemetry { span_cap: cap.max(16), ..Default::default() }
     }
@@ -527,53 +421,15 @@ impl Telemetry {
         Rc::new(RefCell::new(Telemetry::new()))
     }
 
-    /// Register (or re-resolve) a counter by fully-qualified name.
-    pub fn counter(&mut self, name: &str) -> CounterHandle {
-        if let Some(&i) = self.counter_idx.get(name) {
-            return CounterHandle(Rc::clone(&self.counters[i].1));
-        }
-        let c = Rc::new(Cell::new(0u64));
-        self.counter_idx.insert(name.to_string(), self.counters.len());
-        self.counters.push((name.to_string(), Rc::clone(&c)));
-        CounterHandle(c)
-    }
-
-    /// Register (or re-resolve) a gauge by fully-qualified name.
-    pub fn gauge(&mut self, name: &str) -> GaugeHandle {
-        if let Some(&i) = self.gauge_idx.get(name) {
-            return GaugeHandle(Rc::clone(&self.gauges[i].1));
-        }
-        let g = Rc::new(Cell::new(0f64));
-        self.gauge_idx.insert(name.to_string(), self.gauges.len());
-        self.gauges.push((name.to_string(), Rc::clone(&g)));
-        GaugeHandle(g)
-    }
-
-    /// Register (or re-resolve) a sampler by fully-qualified name.
-    pub fn sampler(&mut self, name: &str) -> SamplerHandle {
-        if let Some(&i) = self.sampler_idx.get(name) {
-            return SamplerHandle(Rc::clone(&self.samplers[i].1));
-        }
-        let s = Rc::new(RefCell::new(Sampler::default()));
-        self.sampler_idx.insert(name.to_string(), self.samplers.len());
-        self.samplers.push((name.to_string(), Rc::clone(&s)));
-        SamplerHandle(s)
-    }
-
-    /// Register (or re-resolve) a histogram by fully-qualified name.
-    pub fn histogram(&mut self, name: &str) -> HistogramHandle {
-        if let Some(&i) = self.histogram_idx.get(name) {
-            return HistogramHandle(Rc::clone(&self.histograms[i].1));
-        }
-        let h = Rc::new(RefCell::new(LogHistogram::default()));
-        self.histogram_idx.insert(name.to_string(), self.histograms.len());
-        self.histograms.push((name.to_string(), Rc::clone(&h)));
-        HistogramHandle(h)
+    /// Whether `n` more events fit beside the ends reserved by open spans.
+    fn has_room(&self, n: usize) -> bool {
+        self.spans.len() + self.open + n <= self.span_cap
     }
 
     /// Open a span on `host`'s `layer` track. Returns the id to pass to
-    /// [`Telemetry::span_end`]. At capacity the span is dropped (counted)
-    /// and the returned id ends harmlessly.
+    /// [`Telemetry::span_end`]. A span is accepted only with room for its
+    /// end too; otherwise it is dropped (counted) and the returned id ends
+    /// harmlessly. Either way it consumes the host's next sequence number.
     pub fn span_begin(
         &mut self,
         at: SimTime,
@@ -585,20 +441,22 @@ impl Telemetry {
         let seq = self.span_seq.entry(host).or_insert(0);
         *seq += 1;
         let id = ((host as u64) << 40) | *seq;
-        if self.spans.len() >= self.span_cap {
+        if !self.has_room(2) {
             self.dropped_spans += 1;
-            return SpanId(id);
+            return SpanId(id | DROPPED);
         }
+        self.open += 1;
         self.spans.push(SpanEvent::Begin { at, host, layer, name, id, detail: detail.into() });
         SpanId(id)
     }
 
-    /// Close a span. Ends whose begin was dropped at capacity are
-    /// discarded at export.
+    /// Close a span into the slot its begin reserved. The end of a span
+    /// whose begin was dropped is ignored.
     pub fn span_end(&mut self, at: SimTime, id: SpanId) {
-        // Ends are always recorded (bounded by the number of accepted
-        // begins), so capped traces still close their open episodes.
-        self.spans.push(SpanEvent::End { at, id: id.0 });
+        if id.0 & DROPPED == 0 {
+            self.open -= 1;
+            self.spans.push(SpanEvent::End { at, id: id.0 });
+        }
     }
 
     /// Record an instantaneous marker (e.g. a NACK with its reason).
@@ -610,7 +468,7 @@ impl Telemetry {
         name: &'static str,
         detail: impl Into<SpanDetail>,
     ) {
-        if self.spans.len() >= self.span_cap {
+        if !self.has_room(1) {
             self.dropped_spans += 1;
             return;
         }
@@ -627,12 +485,12 @@ impl Telemetry {
         self.spans.len()
     }
 
-    /// Fold per-shard registries' span logs into one registry holding
-    /// every span event (drop counts summed, no metrics) — the
-    /// cluster-wide view [`Telemetry::span_log`] and
-    /// [`Telemetry::export_chrome_trace`] render. Both impose the
-    /// canonical `(time, host)` order, and each host records into exactly
-    /// one registry, so the fold reads identically under any shard count.
+    /// Fold per-shard span logs into one log holding every span event
+    /// (drop counts summed) — the cluster-wide view
+    /// [`Telemetry::span_log`] and [`Telemetry::export_chrome_trace`]
+    /// render. Both impose the canonical `(time, host)` order, and each
+    /// host records into exactly one log, so the fold reads identically
+    /// under any shard count.
     pub fn fold_spans<'a>(shards: impl IntoIterator<Item = &'a Telemetry>) -> Telemetry {
         let mut out = Telemetry::new();
         for sh in shards {
@@ -774,9 +632,8 @@ impl Telemetry {
                     }
                 }
                 SpanEvent::End { at, id } => {
-                    let Some(&(host, layer, name)) = begin_info.get(id) else {
-                        continue; // begin was dropped at capacity
-                    };
+                    // Only accepted spans record an end.
+                    let (host, layer, name) = begin_info[id];
                     sep(&mut s, &mut first);
                     let _ = write!(
                         s,
@@ -807,23 +664,6 @@ impl Telemetry {
         }
         s.push_str("\n]}\n");
         s
-    }
-}
-
-impl MetricSet for Telemetry {
-    fn visit_metrics(&self, v: &mut dyn MetricVisitor) {
-        for (name, c) in &self.counters {
-            v.metric(name, MetricValue::Counter(c.get()));
-        }
-        for (name, g) in &self.gauges {
-            v.metric(name, MetricValue::Gauge(g.get()));
-        }
-        for (name, s) in &self.samplers {
-            v.metric(name, MetricValue::Summary(Summary::from_sampler(&s.borrow())));
-        }
-        for (name, h) in &self.histograms {
-            v.metric(name, MetricValue::Summary(Summary::from_histogram(&h.borrow())));
-        }
     }
 }
 
@@ -1103,55 +943,12 @@ mod tests {
     }
 
     #[test]
-    fn counter_handles_are_deduped_and_o1() {
-        let mut tel = Telemetry::new();
-        let a = tel.counter("host0.nic.retransmits");
-        let b = tel.counter("host0.nic.retransmits");
-        a.inc();
-        b.add(4);
-        assert_eq!(a.get(), 5, "same name resolves to the same cell");
-        let mut snap = MetricsSnapshot::new(t(1));
-        snap.record_set("", &tel);
-        assert_eq!(snap.counter("host0.nic.retransmits"), 5);
-    }
-
-    #[test]
-    fn gauges_samplers_histograms_roundtrip() {
-        let mut tel = Telemetry::new();
-        tel.gauge("host0.nic.free_frames").set(6.0);
-        let s = tel.sampler("host0.nic.rtt_us");
-        for x in [10.0, 20.0, 30.0] {
-            s.record(x);
-        }
-        tel.histogram("host0.os.remap_ns").record(4096);
-        let mut snap = MetricsSnapshot::new(t(2));
-        snap.record_set("", &tel);
-        assert_eq!(snap.get("host0.nic.free_frames"), Some(&MetricValue::Gauge(6.0)));
-        match snap.get("host0.nic.rtt_us") {
-            Some(MetricValue::Summary(m)) => {
-                assert_eq!(m.count, 3);
-                assert!((m.mean - 20.0).abs() < 1e-9);
-                assert_eq!(m.max, 30.0);
-            }
-            other => panic!("expected summary, got {other:?}"),
-        }
-        match snap.get("host0.os.remap_ns") {
-            Some(MetricValue::Summary(m)) => assert_eq!(m.count, 1),
-            other => panic!("expected summary, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn snapshot_delta_subtracts_counters() {
-        let mut tel = Telemetry::new();
-        let c = tel.counter("x");
-        c.add(10);
         let mut before = MetricsSnapshot::new(t(1));
-        before.record_set("", &tel);
-        c.add(7);
-        tel.gauge("g").set(3.0);
+        before.record("x", MetricValue::Counter(10));
         let mut after = MetricsSnapshot::new(t(2));
-        after.record_set("", &tel);
+        after.record("x", MetricValue::Counter(17));
+        after.record("g", MetricValue::Gauge(3.0));
         let d = after.delta_since(&before);
         assert_eq!(d.counter("x"), 7);
         assert_eq!(d.get("g"), Some(&MetricValue::Gauge(3.0)), "gauges take the later value");
@@ -1160,17 +957,17 @@ mod tests {
 
     #[test]
     fn snapshot_json_parses_and_matches() {
-        let mut tel = Telemetry::new();
-        tel.counter("host1.nic.unbinds").add(3);
-        tel.sampler("host1.nic.rtt_us").record(61.02);
+        let mut rtt = Sampler::default();
+        rtt.record(61.02);
         let mut snap = MetricsSnapshot::new(t(5));
-        snap.record_set("", &tel);
-        snap.record("trace.dropped_events", MetricValue::Counter(2));
+        snap.record("host1.nic.unbinds", MetricValue::Counter(3));
+        snap.record("host1.nic.rtt_us", MetricValue::Summary(Summary::from_sampler(&rtt)));
+        snap.record("telemetry.dropped_spans", MetricValue::Counter(2));
         let doc = Json::parse(&snap.to_json()).expect("valid JSON");
         assert_eq!(doc.get("at_us").and_then(Json::as_f64), Some(5.0));
         let metrics = doc.get("metrics").expect("metrics object");
         assert_eq!(metrics.get("host1.nic.unbinds").and_then(Json::as_f64), Some(3.0));
-        assert_eq!(metrics.get("trace.dropped_events").and_then(Json::as_f64), Some(2.0));
+        assert_eq!(metrics.get("telemetry.dropped_spans").and_then(Json::as_f64), Some(2.0));
         let rtt = metrics.get("host1.nic.rtt_us").expect("summary object");
         assert_eq!(rtt.get("count").and_then(Json::as_f64), Some(1.0));
         assert!(snap.to_table().contains("host1.nic.unbinds"));
@@ -1218,18 +1015,23 @@ mod tests {
         for i in 0..40 {
             ids.push(tel.span_begin(t(i), 0, "nic.chan", "retx_episode", String::new()));
         }
-        assert_eq!(tel.dropped_spans(), 24);
+        // Each accepted span reserves a slot for its end: 8 of 40 fit.
+        assert_eq!(tel.dropped_spans(), 32);
+        assert_eq!(ids[39].0 & !DROPPED, 40, "dropped begins keep per-host numbering");
         for id in ids {
             tel.span_end(t(100), id);
         }
-        // Ends whose begins were dropped vanish at export instead of
-        // producing unbalanced events.
+        tel.instant(t(101), 0, "nic.fw", "nack_rx", "full");
+        assert_eq!(tel.dropped_spans(), 33);
+        assert!(tel.span_events() <= 16, "log holds {} events past its cap", tel.span_events());
+        // Ends whose begins were dropped are ignored, so the capped
+        // export stays balanced.
         let doc = Json::parse(&tel.export_chrome_trace()).expect("valid JSON");
         let evs = doc.get("traceEvents").and_then(Json::as_arr).unwrap();
         let b = evs.iter().filter(|e| e.get("ph").and_then(Json::as_str) == Some("b")).count();
         let e = evs.iter().filter(|e| e.get("ph").and_then(Json::as_str) == Some("e")).count();
-        assert_eq!(b, 16);
-        assert_eq!(e, 16);
+        assert_eq!(b, 8);
+        assert_eq!(e, 8);
     }
 
     #[test]

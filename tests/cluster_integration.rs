@@ -401,16 +401,16 @@ fn clean_runs_pass_the_invariant_audit() {
 /// Mutation check: break exactly-once on purpose (uid dedup disabled,
 /// aggressive unbind churn over a lossy link → a retransmitted copy lands
 /// after its unbound original already delivered) and require the auditor
-/// to catch it with the named invariant and a trace dump.
+/// to catch it with the named invariant and the span-log tail.
 #[test]
 fn audit_catches_double_delivery() {
     let mut cfg = ClusterConfig::now(2);
     cfg.nic.dedup_window = 0; // the mutation: no duplicate suppression
     cfg.nic.max_retx_before_unbind = 1; // churn channels hard
     cfg.drop_prob = 0.30; // lose enough acks to force rebinds
+    cfg.telemetry = true; // the report carries the span-log tail
     let mut c = Cluster::new(cfg);
     c.telemetry().set_debug_audit(false); // we *expect* violations; inspect manually
-    c.telemetry().trace_enable();
     let a = c.create_endpoint(HostId(0));
     let b = c.create_endpoint(HostId(1));
     c.build_virtual_network(&[a, b]);
@@ -423,9 +423,10 @@ fn audit_catches_double_delivery() {
         "violation must be named:\n{report}"
     );
     assert!(
-        report.contains("trace (most recent last):"),
-        "report must carry the trace dump:\n{report}"
+        report.contains("span log, last 64 of "),
+        "report must carry the span-log tail:\n{report}"
     );
+    assert!(report.contains("nic.fw/unbind instant"), "the tail shows the churn:\n{report}");
 }
 
 /// Mutation check: a component that acquires credits without limit (here

@@ -1,7 +1,7 @@
 //! Differential suite for the conservative parallel executor: for any
 //! shard count the results must be **byte-identical** to the sequential
 //! engine — same event count, same final clock, same audit ledger, same
-//! telemetry span log, same causal trace, same application results.
+//! telemetry span log, same application results.
 //!
 //! Covers ≥4 seeds × {2, 4, 8} shards × two topologies (crossbar and a
 //! small fat tree), including a faulty-link configuration whose drops
@@ -91,7 +91,6 @@ struct Outcome {
     ledger: Vec<(u64, MsgFate)>,
     violations: u64,
     spans: String,
-    trace: String,
     replies: Vec<(u32, u64)>,
     /// Cluster-wide `(unbinds, resyncs, failovers)` from the NIC stats —
     /// the recovery-path shape, compared exactly across shard counts.
@@ -154,7 +153,6 @@ fn run_sliced(sc: &Scenario, shards: u32, slices_us: &[u64]) -> Outcome {
     cfg.corrupt_prob = sc.corrupt_prob;
     cfg.faults = sc.faults.clone();
     let mut c = Cluster::new(cfg);
-    c.telemetry().trace_enable();
 
     let servers: Vec<GlobalEp> = (0..n).map(|h| c.create_endpoint(HostId(h))).collect();
     let clients_ep: Vec<GlobalEp> = (0..n).map(|h| c.create_endpoint(HostId(h))).collect();
@@ -183,7 +181,6 @@ fn run_sliced(sc: &Scenario, shards: u32, slices_us: &[u64]) -> Outcome {
     let a = c.auditor();
     let (ledger, violations) = (a.ledger_snapshot(), a.total_violations());
     let spans = c.telemetry().span_log();
-    let trace = c.telemetry().trace_text();
     let replies = client_tids
         .iter()
         .map(|&(h, tid)| {
@@ -201,7 +198,6 @@ fn run_sliced(sc: &Scenario, shards: u32, slices_us: &[u64]) -> Outcome {
         ledger,
         violations,
         spans,
-        trace,
         replies,
         recovery,
         net: net_counters(&c),
@@ -217,7 +213,6 @@ fn assert_same(want: &Outcome, got: &Outcome, what: &str) {
     assert_eq!(want.ledger, got.ledger, "audit ledger, {what}");
     assert_eq!(want.violations, got.violations, "violations, {what}");
     assert_eq!(want.spans, got.spans, "span log, {what}");
-    assert_eq!(want.trace, got.trace, "trace ring, {what}");
     assert_eq!(want.recovery, got.recovery, "unbind/resync/failover counts, {what}");
     assert_eq!(want.net, got.net, "fabric counters, {what}");
 }
@@ -440,7 +435,7 @@ fn all_routes_down_leaf_isolated_recovers_identical() {
 }
 
 /// Everything a mixed-fidelity run observably produces: the full subset's
-/// outputs (replies, ledger, violations, spans, trace) plus every abstract
+/// outputs (replies, ledger, violations, spans) plus every abstract
 /// host's coarse counters.
 #[derive(Debug, PartialEq)]
 struct MixedOutcome {
@@ -450,7 +445,6 @@ struct MixedOutcome {
     ledger: Vec<(u64, MsgFate)>,
     violations: u64,
     spans: String,
-    trace: String,
     replies: Vec<(u32, u64)>,
     abs: Vec<(u64, u64, u64, u64, u64)>,
     net: Vec<(String, u64)>,
@@ -474,7 +468,6 @@ fn run_mixed(seed: u64, shards: u32) -> MixedOutcome {
     cfg.topology = TopologySpec::FatTree { leaves: 4, hosts_per_leaf: 4, spines: 2 };
     cfg.faults = FaultScheduleSpec::none().with_bursty(GilbertElliott::mild());
     let mut c = Cluster::new(cfg);
-    c.telemetry().trace_enable();
 
     let servers: Vec<GlobalEp> = (0..FULL).map(|h| c.create_endpoint(HostId(h))).collect();
     let clients_ep: Vec<GlobalEp> = (0..FULL).map(|h| c.create_endpoint(HostId(h))).collect();
@@ -517,7 +510,6 @@ fn run_mixed(seed: u64, shards: u32) -> MixedOutcome {
         ledger,
         violations,
         spans: c.telemetry().span_log(),
-        trace: c.telemetry().trace_text(),
         replies: client_tids
             .iter()
             .map(|&(h, tid)| {
@@ -572,7 +564,6 @@ fn mixed_fidelity_matches_sequential() {
                 "violations, {shards} shards, seed {seed:#x}"
             );
             assert_eq!(seq.spans, par.spans, "span log, {shards} shards, seed {seed:#x}");
-            assert_eq!(seq.trace, par.trace, "trace ring, {shards} shards, seed {seed:#x}");
             assert_eq!(seq.net, par.net, "fabric counters, {shards} shards, seed {seed:#x}");
         }
     }

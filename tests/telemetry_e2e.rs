@@ -5,6 +5,7 @@
 use vnet::apps::clientserver::{run_client_server_cluster, CsConfig, CsMode};
 use vnet::prelude::*;
 use vnet::sim::telemetry::json::Json;
+use vnet::sim::Telemetry;
 use vnet::Cluster;
 
 /// Parse a Chrome trace export and return the `traceEvents` array.
@@ -143,7 +144,8 @@ fn perfetto_reconstructs_thrash_episodes() {
 
 /// Telemetry must observe, never perturb: the same seeded workload with
 /// hooks attached and detached produces byte-identical protocol behavior
-/// (event counts, simulated clock, per-layer counters).
+/// (event counts, simulated clock, per-layer counters). Component stats
+/// count with hooks detached too, so every counter reads the same.
 #[test]
 fn telemetry_does_not_perturb_protocol() {
     let run = |telemetry: bool| {
@@ -159,33 +161,41 @@ fn telemetry_does_not_perturb_protocol() {
             c.now(),
             snap.counter("host0.nic.data_sent"),
             snap.counter("host0.nic.retransmits"),
+            snap.counter("host0.nic.frames_tx"),
+            snap.counter("host0.nic.frames_rx"),
+            snap.counter("host0.nic.dma_bytes"),
             snap.counter("host0.os.loads"),
             snap.counter("net.packets"),
             r.retransmits,
         )
     };
-    assert_eq!(run(false), run(true), "telemetry hooks changed protocol behavior");
+    let detached = run(false);
+    let (_, _, _, _, frames_tx, frames_rx, dma_bytes, ..) = detached;
+    assert!(
+        frames_tx > 0 && frames_rx > 0 && dma_bytes > 0,
+        "NIC frame and DMA counters count with hooks detached"
+    );
+    assert_eq!(detached, run(true), "telemetry hooks changed protocol behavior");
 }
 
-/// Satellite fix: trace-ring evictions surface in the unified snapshot as
-/// `trace.dropped_events` instead of vanishing silently.
+/// Span-log overflow surfaces in the unified snapshot as
+/// `telemetry.dropped_spans` instead of vanishing silently, and the log
+/// never outgrows its cap.
 #[test]
-fn trace_ring_drops_are_counted_in_snapshot() {
-    let c = Cluster::builder().hosts(2).tracing(true).build();
-    assert_eq!(c.telemetry().snapshot().counter("trace.dropped_events"), 0);
-    {
-        let mut ring = c.world_of(HostId(0)).trace.borrow_mut();
-        for i in 0..5000u32 {
-            ring.record(SimTime::ZERO, 0, "test", format!("entry {i}"));
-        }
+fn span_log_drops_are_counted_in_snapshot() {
+    let c = Cluster::builder().hosts(2).telemetry(true).build();
+    assert_eq!(c.telemetry().snapshot().counter("telemetry.dropped_spans"), 0);
+    let log = c.world_of(HostId(0)).telemetry.clone().expect("hooks attached");
+    let cap = Telemetry::DEFAULT_SPAN_CAP;
+    for _ in 0..cap + 10 {
+        log.borrow_mut().instant(SimTime::ZERO, 0, "net", "test", "");
     }
-    let dropped = c.telemetry().snapshot().counter("trace.dropped_events");
-    assert!(dropped > 0, "5000 records must overflow the 4096-entry ring");
-    assert!(c.telemetry().trace_text().contains("earlier entries dropped"));
+    assert_eq!(c.telemetry().snapshot().counter("telemetry.dropped_spans"), 10);
+    assert_eq!(log.borrow().span_events(), cap, "the log keeps the first events");
 }
 
 /// The builder and the unified handle compose: a telemetry-enabled
-/// cluster built fluently exposes registry metrics and an exportable
+/// cluster built fluently exposes component metrics and an exportable
 /// (possibly empty) trace; snapshot deltas subtract counters.
 #[test]
 fn builder_telemetry_snapshot_delta_roundtrip() {
@@ -203,11 +213,10 @@ fn builder_telemetry_snapshot_delta_roundtrip() {
     for (name, _) in delta.entries() {
         assert!(delta.counter(name) <= after.counter(name), "delta {name} exceeds total");
     }
-    // Registry metrics (attached hooks) appear under their full names.
-    assert!(
-        after.get("host0.nic.frames_tx").is_some(),
-        "registry counter missing from snapshot"
-    );
+    // NIC frame and DMA counters appear under their full names.
+    for name in ["host0.nic.frames_tx", "host0.nic.frames_rx", "host0.nic.dma_bytes"] {
+        assert!(after.get(name).is_some(), "{name} missing from snapshot");
+    }
     // Snapshot artifacts are valid JSON.
     let parsed = Json::parse(&after.to_json()).expect("metrics snapshot JSON");
     assert!(parsed.get("metrics").is_some());
