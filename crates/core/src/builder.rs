@@ -128,7 +128,7 @@ impl ClusterBuilder {
     }
 
     /// Attach the span log (read back through `Cluster::telemetry`).
-    /// Default: the `VNET_TELEMETRY` environment variable, else off.
+    /// Default: off.
     pub fn telemetry(mut self, on: bool) -> Self {
         self.telemetry = Some(on);
         self

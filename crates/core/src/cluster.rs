@@ -12,13 +12,13 @@ use crate::user::EpQuota;
 use crate::world::{ctl_key, Event, HostSlot, World};
 use std::cell::Cell;
 use std::sync::Arc;
-use vnet_net::{FaultOp, HostId, LinkId, Packet, Partition, Phase1, RouteOracle, Topology};
+use vnet_net::{FaultOp, HostId, LinkId, Packet, Partition, RouteOracle, Topology};
 use vnet_nic::{EpId, Frame, GlobalEp, Nic, NicOut, ProtectionKey};
 use vnet_os::{OsOut, Scheduler, SegmentDriver, Tid};
 use vnet_sim::stats::LogHistogram;
 use vnet_sim::{
     run_conservative, Auditor, Engine, PairLookahead, ParShard, SendCell, SimDuration, SimRng,
-    SimTime, INGRESS_KEY_BIT,
+    SimTime,
 };
 
 /// How many of the most recent span-log events a failed audit's report
@@ -517,11 +517,6 @@ impl Cluster {
         self.names.register(name, ep);
     }
 
-    /// Resolve a well-known name.
-    pub fn lookup_name(&mut self, name: &str) -> Option<GlobalEp> {
-        self.names.lookup(name)
-    }
-
     /// Resolve a name and install it in `from`'s translation table —
     /// the full §3.1 flow: rendezvous, then endpoint-relative addressing.
     pub fn connect_by_name(&mut self, from: GlobalEp, idx: usize, name: &str) -> bool {
@@ -587,11 +582,6 @@ impl Cluster {
     /// Downcast access to a thread body (results extraction after a run).
     pub fn body<T: ThreadBody>(&self, host: HostId, tid: Tid) -> Option<&T> {
         self.world_of(host).body::<T>(host.idx(), tid)
-    }
-
-    /// Mutable downcast access to a thread body.
-    pub fn body_mut<T: ThreadBody>(&mut self, host: HostId, tid: Tid) -> Option<&mut T> {
-        self.world_of_mut(host).body_mut::<T>(host.idx(), tid)
     }
 
     // --------------------------------------------------------------- run
@@ -699,45 +689,28 @@ impl Cluster {
 
     fn apply_os_ext(&mut self, host: usize, outs: Vec<OsOut>) {
         let now = self.now();
+        let gh = host as u32;
         for o in outs {
             match o {
                 OsOut::Nic(op) => {
                     let mut nic_outs = Vec::new();
-                    let w = self.world_of_mut(HostId(host as u32));
-                    w.nic_mut(host).driver_request(now, op, &mut nic_outs);
-                    self.apply_nic_ext(host, nic_outs);
-                }
-                OsOut::Wake(tid) => {
-                    self.sched_ev(SimDuration::ZERO, Event::WakeThread { host: host as u32, tid });
-                }
-                OsOut::After(d, ev) => {
-                    self.sched_ev(d, Event::Os { host: host as u32, ev });
-                }
-            }
-        }
-    }
-
-    fn apply_nic_ext(&mut self, host: usize, outs: Vec<NicOut>) {
-        let now = self.now();
-        for o in outs {
-            match o {
-                NicOut::After(d, ev) => {
-                    self.sched_ev(d, Event::Nic { host: host as u32, ev });
-                }
-                // The source's shard judges and times the ascending hops,
-                // exactly as an in-run injection would.
-                NicOut::Inject(pkt) => {
-                    match self.world_of_mut(pkt.src).fabric.inject_src(now, pkt) {
-                        Phase1::Ingress { at, seq, corrupt, pkt } => {
-                            let key = INGRESS_KEY_BIT | ((pkt.src.0 as u64) << 40) | seq;
-                            let ev = Event::Ingress { host: pkt.dst.0, corrupt, pkt };
-                            self.sched_keyed_at(at, key, ev);
+                    let nic = self.world_of_mut(HostId(gh)).nic_mut(host);
+                    nic.driver_request(now, op, &mut nic_outs);
+                    for o in nic_outs {
+                        match o {
+                            NicOut::After(d, ev) => self.sched_ev(d, Event::Nic { host: gh, ev }),
+                            other => unreachable!(
+                                "driver_request only queues the op and kicks the firmware, \
+                                 so it schedules a dispatch step and nothing else: {other:?}"
+                            ),
                         }
-                        Phase1::Dropped { .. } => {}
                     }
                 }
-                NicOut::Driver(msg) => {
-                    self.sched_ev(SimDuration::ZERO, Event::DriverMsg { host: host as u32, msg });
+                OsOut::Wake(tid) => {
+                    self.sched_ev(SimDuration::ZERO, Event::WakeThread { host: gh, tid });
+                }
+                OsOut::After(d, ev) => {
+                    self.sched_ev(d, Event::Os { host: gh, ev });
                 }
             }
         }

@@ -2,17 +2,19 @@
 //!
 //! # Knob precedence
 //!
-//! Every run-shape knob — [`ClusterConfig::shards`], [`ClusterConfig::audit`],
-//! [`ClusterConfig::telemetry`], [`ClusterConfig::fidelity`] — resolves the
+//! The two run-shape knobs with an environment variable —
+//! [`ClusterConfig::shards`] and [`ClusterConfig::fidelity`] — resolve the
 //! same way, and this is the one place the contract is written down:
 //!
 //! 1. **builder** — an explicit `with_*` call on `ClusterConfig` (or the
 //!    corresponding [`crate::ClusterBuilder`] method) always wins;
 //! 2. **environment** — otherwise the variable (`VNET_SHARDS`,
-//!    `VNET_AUDIT`, `VNET_TELEMETRY`, `VNET_FIDELITY`), read when the
-//!    config preset is constructed;
-//! 3. **default** — otherwise `1` shard, audit in debug builds only,
-//!    telemetry off, full fidelity everywhere.
+//!    `VNET_FIDELITY`), read when the config preset is constructed;
+//! 3. **default** — otherwise `1` shard, full fidelity everywhere.
+//!
+//! [`ClusterConfig::audit`] (default: debug builds only) and
+//! [`ClusterConfig::telemetry`] (default: off) have no environment
+//! variable; only the builder changes them.
 //!
 //! The environment is consulted once, inside the preset constructors
 //! ([`ClusterConfig::now`] and friends); a `with_*` call after that
@@ -170,18 +172,11 @@ impl ClusterConfig {
             faults: FaultScheduleSpec::none(),
             seed: 0x5EED,
             credits: 32,
-            audit: env_flag("VNET_AUDIT").unwrap_or(cfg!(debug_assertions)),
-            telemetry: env_flag("VNET_TELEMETRY").unwrap_or(false),
+            audit: cfg!(debug_assertions),
+            telemetry: false,
             shards: env_shards().unwrap_or(1),
             fidelity: env_fidelity().unwrap_or_default(),
         }
-    }
-
-    /// Full 100-node NOW fat tree regardless of `n` hosts in use.
-    pub fn now_fat_tree() -> Self {
-        let mut c = Self::now(100);
-        c.topology = TopologySpec::now_cluster();
-        c
     }
 
     /// The GAM baseline configuration on `n` hosts.
@@ -251,16 +246,6 @@ impl ClusterConfig {
 /// The `VNET_SHARDS` environment default (None when unset or unparsable).
 pub(crate) fn env_shards() -> Option<u32> {
     env_lookup("VNET_SHARDS")?.trim().parse::<u32>().ok().map(|n| n.max(1))
-}
-
-/// A boolean environment default: `1`/`true`/`on`/`yes` or
-/// `0`/`false`/`off`/`no` (None when unset or unrecognized).
-pub(crate) fn env_flag(name: &str) -> Option<bool> {
-    match env_lookup(name)?.trim().to_ascii_lowercase().as_str() {
-        "1" | "true" | "on" | "yes" => Some(true),
-        "0" | "false" | "off" | "no" => Some(false),
-        _ => None,
-    }
 }
 
 /// The `VNET_FIDELITY` environment default (None when unset). A set but
@@ -344,12 +329,12 @@ mod tests {
     }
 
     /// The module-doc precedence contract (builder > env > default),
-    /// asserted for all four run-shape knobs through the thread-local
+    /// asserted for both environment knobs through the thread-local
     /// environment seam.
     #[test]
     fn knob_precedence_builder_over_env_over_default() {
         use crate::model::Fidelity;
-        let knobs = ["VNET_SHARDS", "VNET_AUDIT", "VNET_TELEMETRY", "VNET_FIDELITY"];
+        let knobs = ["VNET_SHARDS", "VNET_FIDELITY"];
         // Defaults (masking anything leaked into the process environment).
         for k in knobs {
             test_env::set(k, None);
@@ -361,24 +346,14 @@ mod tests {
         assert_eq!(c.fidelity, FidelityMap::full());
         // The environment overrides the default...
         test_env::set("VNET_SHARDS", Some("4"));
-        test_env::set("VNET_AUDIT", Some("on"));
-        test_env::set("VNET_TELEMETRY", Some("1"));
         test_env::set("VNET_FIDELITY", Some("abstract:2-3"));
         let c = ClusterConfig::now(4);
         assert_eq!(c.shards, 4);
-        assert!(c.audit);
-        assert!(c.telemetry);
         assert_eq!(c.fidelity.of(0), Fidelity::Full);
         assert_eq!(c.fidelity.of(2), Fidelity::Abstract);
         // ...and an explicit builder-style call beats the environment.
-        let c = ClusterConfig::now(4)
-            .with_shards(2)
-            .with_audit(false)
-            .with_telemetry(false)
-            .with_fidelity(FidelityMap::full());
+        let c = ClusterConfig::now(4).with_shards(2).with_fidelity(FidelityMap::full());
         assert_eq!(c.shards, 2);
-        assert!(!c.audit);
-        assert!(!c.telemetry);
         assert_eq!(c.fidelity, FidelityMap::full());
         for k in knobs {
             test_env::clear(k);

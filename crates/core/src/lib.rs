@@ -91,7 +91,7 @@ pub use control::{
 };
 pub use model::{
     bounded_pareto, zipf_rank, AbsStats, AbstractTraffic, FabricSlot, Fidelity,
-    FidelityMap, HostModel, NicModel, OpenLoopSpec,
+    FidelityMap, OpenLoopSpec,
 };
 pub use names::NameService;
 pub use observe::ClusterTelemetry;

@@ -1,6 +1,7 @@
 //! Pluggable fidelity boundaries: narrow seams between the composed
-//! world and its host / NIC / fabric models (a trait per host-side seam,
-//! one enum for the fabric), plus one *abstract* fast model per boundary.
+//! world and its host / NIC / fabric models (two enums, `HostSlot` and
+//! [`FabricSlot`], each dispatching with a `match`), plus one *abstract*
+//! fast model per boundary.
 //!
 //! The paper's value is its per-protocol detail — the NI firmware loop,
 //! the §4 residency machine, the §5.1 stop-and-wait channels — but a
@@ -9,14 +10,14 @@
 //! the world composes *models of differing fidelity* behind narrow
 //! interfaces:
 //!
-//! * [`HostModel`] — everything above the wire on one host: OS, user
-//!   library, thread scheduler, cost model. The full implementation is
+//! * `HostSlot` — everything above the wire on one host: OS, user
+//!   library, thread scheduler, cost model. The full model is
 //!   `world::FullHost` (the pre-existing machinery, unchanged); the
 //!   abstract one is [`AbstractHost`], a LogP source/sink that charges
 //!   `o_s`/`o_r` CPU overheads without running the residency machine.
-//! * [`NicModel`] — the wire-facing delivery seam. Full: [`vnet_nic::Nic`]
-//!   (CRC check, protection, NACK/retransmit). Abstract: [`AbstractNic`],
-//!   a counter that accepts every frame.
+//!   Each host's NIC is the wire-facing side of its model. Full:
+//!   [`vnet_nic::Nic`] (CRC check, protection, NACK/retransmit).
+//!   Abstract: [`AbstractNic`], a counter that accepts every frame.
 //! * [`FabricSlot`] — the network between hosts. Full:
 //!   [`vnet_net::Fabric`] (per-link bandwidth arbitration). Abstract:
 //!   [`vnet_net::DelayFabric`] (route latency only).
@@ -43,7 +44,7 @@
 use crate::world::{Event, HostEnv};
 use std::collections::BTreeMap;
 use vnet_net::{DelayFabric, Fabric, FaultPlan, HostId, NetConfig, Packet, Phase1, Topology};
-use vnet_nic::{EpId, Frame, FrameKind, Nic, NicOut, ProtectionKey, DESCRIPTOR_BYTES};
+use vnet_nic::{EpId, Frame, FrameKind, ProtectionKey, DESCRIPTOR_BYTES};
 use vnet_sim::stats::LogHistogram;
 use vnet_sim::telemetry::{MetricSet, MetricValue, MetricVisitor, MetricsSnapshot};
 use vnet_sim::{Ctx, SimDuration, SimRng, SimTime};
@@ -305,36 +306,8 @@ impl MetricSet for FabricSlot {
 }
 
 // ===================================================================
-// NicModel
+// AbstractNic
 // ===================================================================
-
-/// The wire-facing seam of one host: what happens when a frame's tail
-/// arrives. The full NIC runs CRC/protection/NACK/retransmit and emits
-/// effects; the abstract NIC counts the frame and emits nothing.
-pub trait NicModel {
-    /// A frame's tail arrived from `src` (possibly corrupt in flight).
-    fn deliver(
-        &mut self,
-        now: SimTime,
-        src: HostId,
-        frame: Frame,
-        corrupt: bool,
-        outs: &mut Vec<NicOut>,
-    );
-}
-
-impl NicModel for Nic {
-    fn deliver(
-        &mut self,
-        now: SimTime,
-        src: HostId,
-        frame: Frame,
-        corrupt: bool,
-        outs: &mut Vec<NicOut>,
-    ) {
-        self.on_packet(now, src, frame, corrupt, outs);
-    }
-}
 
 /// Coarse counters an abstract node reports in place of the full
 /// NIC/OS stats (snapshot prefix `host{N}.abs.*`).
@@ -425,17 +398,10 @@ impl AbstractNic {
         };
         Packet { src: self.host, dst, channel: frame.chan, bytes: wire, payload: frame }
     }
-}
 
-impl NicModel for AbstractNic {
-    fn deliver(
-        &mut self,
-        _now: SimTime,
-        _src: HostId,
-        frame: Frame,
-        corrupt: bool,
-        _outs: &mut Vec<NicOut>,
-    ) {
+    /// A frame's tail arrived (possibly corrupt in flight): count it. No
+    /// acknowledgment, no effects.
+    pub fn deliver(&mut self, frame: Frame, corrupt: bool) {
         if corrupt {
             self.stats.corrupt_drops += 1;
             return;
@@ -523,22 +489,8 @@ struct OpenLoop {
 }
 
 // ===================================================================
-// HostModel
+// AbstractHost
 // ===================================================================
-
-/// Everything above the wire on one host, as the composed world sees
-/// it: consume the events addressed to the host, produce injections and
-/// follow-up events through the shared [`HostEnv`], and report metrics.
-/// Implemented by `world::FullHost` (the complete §3–§6 machinery) and
-/// [`AbstractHost`].
-pub trait HostModel {
-    /// This host's fidelity class.
-    fn fidelity(&self) -> Fidelity;
-    /// Handle an event addressed to global host `gh`.
-    fn on_event(&mut self, gh: u32, ev: Event, env: &mut HostEnv<'_>, ctx: &mut Ctx<'_, Event>);
-    /// Report this host's metrics into a snapshot (`host{h}.…` scope).
-    fn record_metrics(&self, h: usize, out: &mut MetricsSnapshot);
-}
 
 /// Internal events of an abstract host (carried by `Event::Abs`).
 #[derive(Clone, Copy, Debug)]
@@ -667,14 +619,16 @@ impl AbstractHost {
     pub fn open_loop_remaining(&self) -> u64 {
         self.open_loop.as_ref().map_or(0, |ol| ol.remaining)
     }
-}
 
-impl HostModel for AbstractHost {
-    fn fidelity(&self) -> Fidelity {
-        Fidelity::Abstract
-    }
-
-    fn on_event(&mut self, gh: u32, ev: Event, env: &mut HostEnv<'_>, ctx: &mut Ctx<'_, Event>) {
+    /// Handle an event addressed to global host `gh`, injecting through
+    /// the shared [`HostEnv`].
+    pub(crate) fn on_event(
+        &mut self,
+        gh: u32,
+        ev: Event,
+        env: &mut HostEnv<'_>,
+        ctx: &mut Ctx<'_, Event>,
+    ) {
         match ev {
             Event::Abs { ev: AbsEvent::Tick, .. } => {
                 let Some(t) = &mut self.traffic else { return };
@@ -753,16 +707,14 @@ impl HostModel for AbstractHost {
                 let pkt = self.nic.make_request(ctx.now(), dst, bytes, stamp.as_nanos());
                 env.inject(ctx.now(), pkt, ctx);
             }
-            Event::Deliver { src, frame, corrupt, .. } => {
+            Event::Deliver { frame, corrupt, .. } => {
                 let now = ctx.now();
                 // Pull the latency stamp before the frame is consumed.
                 let stamp = match frame.kind {
                     FrameKind::Abs { stamp_ns, request: true, .. } if !corrupt => Some(stamp_ns),
                     _ => None,
                 };
-                let mut outs = Vec::new();
-                NicModel::deliver(&mut self.nic, now, src, frame, corrupt, &mut outs);
-                debug_assert!(outs.is_empty(), "abstract NIC emitted effects");
+                self.nic.deliver(frame, corrupt);
                 // Receive overhead o_r occupies the serial CPU, delaying
                 // subsequent sends.
                 self.cpu_free_at = now.max(self.cpu_free_at) + env.cfg.cost.host_recv;
@@ -779,7 +731,8 @@ impl HostModel for AbstractHost {
         }
     }
 
-    fn record_metrics(&self, h: usize, out: &mut MetricsSnapshot) {
+    /// Report this host's metrics into a snapshot (`host{h}.abs.*`).
+    pub(crate) fn record_metrics(&self, h: usize, out: &mut MetricsSnapshot) {
         out.record_set(&format!("host{h}.abs"), &self.nic.stats);
     }
 }
@@ -843,12 +796,10 @@ mod tests {
         assert_eq!(nic.stats.sent_bytes, 256);
 
         let mut rx = AbstractNic::new(HostId(1));
-        let mut outs = Vec::new();
-        rx.deliver(SimTime::ZERO, pkt.src, pkt.payload.clone(), false, &mut outs);
-        assert!(outs.is_empty());
+        rx.deliver(pkt.payload.clone(), false);
         assert_eq!(rx.stats.recvd, 1);
         assert_eq!(rx.stats.recv_bytes, 256);
-        rx.deliver(SimTime::ZERO, pkt.src, pkt.payload, true, &mut outs);
+        rx.deliver(pkt.payload, true);
         assert_eq!(rx.stats.corrupt_drops, 1);
         assert_eq!(rx.stats.recvd, 1, "corrupt frames are not received");
     }
@@ -982,12 +933,12 @@ mod tests {
     #[should_panic(expected = "abstract frame")]
     fn abstract_frame_at_a_full_nic_fails_loudly() {
         let pkt = AbstractNic::new(HostId(0)).make_packet(SimTime::ZERO, HostId(1), 64);
-        let mut nic = Nic::new(HostId(1), vnet_nic::NicConfig::virtual_network(), 1);
+        let mut nic = vnet_nic::Nic::new(HostId(1), vnet_nic::NicConfig::virtual_network(), 1);
         let mut outs = Vec::new();
-        NicModel::deliver(&mut nic, SimTime::ZERO, pkt.src, pkt.payload, false, &mut outs);
+        nic.on_packet(SimTime::ZERO, pkt.src, pkt.payload, false, &mut outs);
         // The firmware takes the frame up on its next step.
         while let Some(out) = outs.pop() {
-            if let NicOut::After(d, ev) = out {
+            if let vnet_nic::NicOut::After(d, ev) = out {
                 nic.on_event(SimTime::ZERO + d, ev, &mut outs);
             }
         }

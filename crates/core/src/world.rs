@@ -2,11 +2,10 @@
 //! driver, thread scheduler, application threads — or an abstract LogP
 //! source/sink), wired into one deterministic event graph.
 //!
-//! The world is fidelity-pluggable: each host slot holds one
-//! [`HostModel`] implementation ([`FullHost`] or
-//! [`crate::model::AbstractHost`]) and the [`FabricSlot`] one fabric
-//! model, selected per node by [`crate::config::ClusterConfig::fidelity`].
-//! See [`crate::model`].
+//! The world is fidelity-pluggable: each [`HostSlot`] holds one host
+//! model ([`FullHost`] or [`crate::model::AbstractHost`]) and the
+//! [`FabricSlot`] one fabric model, selected per node by
+//! [`crate::config::ClusterConfig::fidelity`]. See [`crate::model`].
 //!
 //! A cluster is one `World` per executor shard, each owning a contiguous
 //! range of global host ids for the cluster's whole lifetime (a
@@ -15,9 +14,7 @@
 
 use crate::config::{ClusterConfig, Mode};
 use crate::control::{ControlPlane, CtlOp, MigPhase, MigState};
-use crate::model::{
-    AbsEvent, AbsStats, AbstractHost, FabricSlot, Fidelity, HostModel, NicModel,
-};
+use crate::model::{AbsEvent, AbsStats, AbstractHost, FabricSlot, Fidelity};
 use crate::sys::{Step, Sys, ThreadBody};
 use crate::user::UserEpState;
 use std::collections::HashMap;
@@ -76,14 +73,6 @@ pub enum Event {
         frame: Frame,
         /// CRC failure flag.
         corrupt: bool,
-    },
-    /// Driver-protocol message crossing NIC → OS (used when raised outside
-    /// an event handler).
-    DriverMsg {
-        /// Host index.
-        host: u32,
-        /// The message.
-        msg: DriverMsg,
     },
     /// CPU dispatch step (generation-guarded).
     Cpu {
@@ -169,7 +158,6 @@ impl Event {
             | Event::Os { host, .. }
             | Event::Ingress { host, .. }
             | Event::Deliver { host, .. }
-            | Event::DriverMsg { host, .. }
             | Event::Cpu { host, .. }
             | Event::WakeThread { host, .. }
             | Event::Abs { host, .. }
@@ -200,7 +188,7 @@ struct CpuState {
     busy_until: SimTime,
 }
 
-/// The world-owned context a [`HostModel`] works against while handling
+/// The world-owned context a host model works against while handling
 /// one event: the shared fabric, the rendezvous key table, the auditor,
 /// and this world's host-ownership window (for routing injected
 /// packets either into the local engine or into the cross-shard outbox).
@@ -498,11 +486,8 @@ impl FullHost {
     }
 }
 
-impl HostModel for FullHost {
-    fn fidelity(&self) -> Fidelity {
-        Fidelity::Full
-    }
-
+impl FullHost {
+    /// Handle an event addressed to global host `gh`.
     fn on_event(&mut self, gh: u32, ev: Event, env: &mut HostEnv<'_>, ctx: &mut Ctx<'_, Event>) {
         match ev {
             Event::Nic { ev, .. } => {
@@ -520,11 +505,8 @@ impl HostModel for FullHost {
             }
             Event::Deliver { src, frame, corrupt, .. } => {
                 let mut outs = Vec::new();
-                NicModel::deliver(&mut self.nic, ctx.now(), src, frame, corrupt, &mut outs);
+                self.nic.on_packet(ctx.now(), src, frame, corrupt, &mut outs);
                 self.apply_nic(gh, outs, env, ctx);
-            }
-            Event::DriverMsg { msg, .. } => {
-                self.handle_driver_msg(gh, msg, env, ctx);
             }
             Event::Cpu { gen, .. } => {
                 self.on_cpu(gh, gen, env, ctx);
@@ -538,6 +520,8 @@ impl HostModel for FullHost {
         }
     }
 
+    /// Report this host's metrics into a snapshot (`host{h}.nic.*`,
+    /// `host{h}.os.*`).
     fn record_metrics(&self, h: usize, out: &mut MetricsSnapshot) {
         out.record_set(&format!("host{h}.nic"), self.nic.stats());
         out.record(format!("host{h}.nic.dma_bytes"), MetricValue::Counter(self.nic.dma().bytes()));
@@ -545,8 +529,8 @@ impl HostModel for FullHost {
     }
 }
 
-/// One host slot of the composed world: a registered [`HostModel`],
-/// dispatched statically (the same pattern as [`FabricSlot`]).
+/// One host slot of the composed world: the host's model, dispatched
+/// with a `match` (the same pattern as [`FabricSlot`]).
 // `FullHost` is boxed because the enum's size is its largest variant:
 // inline it is ~2.5 KB, and a fleet-scale world is almost all
 // `AbstractHost` (~200 B) — 16k abstract slots would carry ~38 MB of
@@ -1008,7 +992,7 @@ impl World {
     }
 
     /// Split-borrow helper: the slot of global host `gh` plus the
-    /// [`HostEnv`] over every other field, ready for [`HostModel`]
+    /// [`HostEnv`] over every other field, ready for [`HostSlot`]
     /// dispatch.
     fn dispatch(&mut self, gh: u32, ev: Event, ctx: &mut Ctx<'_, Event>) {
         let h = self.hx(gh);
@@ -1057,14 +1041,6 @@ impl World {
         let rec = f.threads.get(&tid)?;
         let body = rec.body.as_deref()?;
         (body as &dyn std::any::Any).downcast_ref::<T>()
-    }
-
-    /// Mutable access to a thread body, downcast to its concrete type.
-    pub fn body_mut<T: ThreadBody>(&mut self, host: usize, tid: Tid) -> Option<&mut T> {
-        let HostSlot::Full(f) = self.slot_mut(host) else { return None };
-        let rec = f.threads.get_mut(&tid)?;
-        let body = rec.body.as_deref_mut()?;
-        (body as &mut dyn std::any::Any).downcast_mut::<T>()
     }
 
     /// Forcibly terminate a thread (process exit): its body is dropped and

@@ -185,11 +185,6 @@ impl NicConfig {
         }
     }
 
-    /// The 96-frame configuration of the newer interface hardware.
-    pub fn virtual_network_96() -> Self {
-        NicConfig { frames: 96, ..Self::virtual_network() }
-    }
-
     /// The GAM baseline.
     pub fn gam() -> Self {
         NicConfig {
@@ -231,7 +226,6 @@ mod tests {
         let vn = NicConfig::virtual_network();
         let gam = NicConfig::gam();
         assert_eq!(vn.frames, 8);
-        assert_eq!(NicConfig::virtual_network_96().frames, 96);
         assert_eq!(gam.frames, 1);
         assert_eq!(gam.mode, NicMode::Gam);
         assert_eq!(vn.send_queue_depth, 64);

@@ -41,7 +41,6 @@ pub mod msg;
 pub mod nic;
 pub mod sched;
 pub mod stats;
-pub mod tel;
 pub mod testkit;
 
 pub use channel::{ChannelKey, ChannelState};

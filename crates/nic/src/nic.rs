@@ -22,11 +22,13 @@ use crate::msg::{
 };
 use crate::sched::WrrScheduler;
 use crate::stats::NicStats;
-use crate::tel::NicTelemetry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use vnet_net::{HostId, LinkId, Packet, RouteOracle};
-use vnet_sim::{AuditHandle, Auditor, SimDuration, SimRng, SimTime, TelemetryHandle};
+use vnet_sim::{AuditHandle, SimDuration, SimRng, SimTime, TelemetryHandle};
+
+mod probe;
+use probe::NicProbe;
 
 /// Events delivered to a NIC by the simulation engine.
 #[derive(Clone, Debug)]
@@ -189,10 +191,10 @@ pub struct Nic {
     /// Reusable output buffer for immediate ack emission (disjoint from
     /// `scratch_step`: acks are built while a step is in progress).
     scratch_ack: Vec<NicOut>,
-    /// Cross-layer invariant auditor (hooks are no-ops when detached).
+    /// Cross-layer invariant auditor; `None` when detached.
     auditor: Option<AuditHandle>,
-    /// Unified telemetry (hooks are no-ops when detached).
-    tel: Option<NicTelemetry>,
+    /// The shard's span log; `None` when detached.
+    tel: Option<TelemetryHandle>,
     /// Scheduled-fault route oracle (campaign failover planning); `None`
     /// outside fault campaigns. Shared read-only plain data (one per cluster).
     oracle: Option<Arc<RouteOracle>>,
@@ -258,7 +260,7 @@ impl Nic {
     /// backoff, unbind, DMA transfers) become spans on the `nic.chan` /
     /// `nic.dma` / `nic.fw` tracks.
     pub fn attach_telemetry(&mut self, tel: TelemetryHandle) {
-        self.tel = Some(NicTelemetry::new(self.host.0, tel));
+        self.tel = Some(tel);
     }
 
     /// Attach the fault campaign's route oracle. Scheduled down windows
@@ -284,12 +286,6 @@ impl Nic {
                 o.route_up(self.host, peer, idx, now, &mut self.oracle_buf)
             }
             _ => true,
-        }
-    }
-
-    fn audit(&self, f: impl FnOnce(&mut Auditor)) {
-        if let Some(a) = &self.auditor {
-            f(&mut a.borrow_mut());
         }
     }
 
@@ -385,8 +381,8 @@ impl Nic {
     /// Hand a packet to the fabric — or loop it back through the local
     /// firmware when both endpoints share a host (processes on one node
     /// communicating through a virtual network never touch the wire).
-    fn emit(&mut self, pkt: Packet<Frame>, out: &mut Vec<NicOut>) {
-        self.stats.frames_tx.inc();
+    fn emit(&mut self, now: SimTime, pkt: Packet<Frame>, out: &mut Vec<NicOut>) {
+        self.probe(now, NicProbe::FrameTx);
         if pkt.dst == self.host {
             self.inbox.push_back(FwWork::Rx { src: self.host, frame: pkt.payload });
             // Always called from inside firmware processing; the
@@ -450,8 +446,7 @@ impl Nic {
             nacks: 0,
             unbind_cycles: 0,
         });
-        let h = self.host.0;
-        self.audit(|a| a.on_posted(now, h, uid));
+        self.probe(now, NicProbe::Posted { uid });
         self.kick(now, out);
         Ok(uid)
     }
@@ -533,9 +528,9 @@ impl Nic {
         corrupt: bool,
         out: &mut Vec<NicOut>,
     ) {
-        self.stats.frames_rx.inc();
+        self.probe(now, NicProbe::FrameRx);
         if corrupt {
-            self.stats.crc_drops.inc();
+            self.probe(now, NicProbe::CrcDrop);
             return;
         }
         self.inbox.push_back(FwWork::Rx { src, frame });
@@ -565,8 +560,7 @@ impl Nic {
                     self.inbox.push_back(FwWork::Retx(key));
                     self.kick(now, out);
                 } else {
-                    let h = self.host.0;
-                    self.audit(|a| a.on_stale_timer(now, h));
+                    self.probe(now, NicProbe::StaleTimer);
                 }
             }
             NicEvent::DmaDone(tag) => {
@@ -635,14 +629,12 @@ impl Nic {
         };
         if self.cfg.mode == NicMode::Gam {
             if self.deposit(now, frame.dst_ep, msg, false, out).is_err() {
-                self.stats.gam_overruns.inc();
+                self.probe(now, NicProbe::GamOverrun);
             }
             return;
         }
         if self.dedup.contains(msg.uid) {
-            self.stats.duplicates.inc();
-            let h = self.host.0;
-            self.audit(|a| a.on_duplicate_filtered(now, h, msg.uid));
+            self.probe(now, NicProbe::Duplicate);
             self.emit_ack_now(now, src, &frame, None, out);
             return;
         }
@@ -652,13 +644,11 @@ impl Nic {
                 self.emit_ack_now(now, src, &frame, None, out);
             }
             Err(reason) => {
-                self.stats.nacks_tx.inc();
-                if let Some(t) = &mut self.tel {
-                    t.instant(now, "nack_tx", format!("{reason:?} ep={} uid={:#x}", frame.dst_ep.0, msg.uid));
-                }
+                let nack = NicProbe::NackTx { reason, ep: Some(frame.dst_ep), uid: msg.uid };
+                self.probe(now, nack);
                 self.emit_ack_now(now, src, &frame, Some(reason), out);
                 if reason == NackReason::NotResident {
-                    self.request_residency(frame.dst_ep, out);
+                    self.request_residency(now, frame.dst_ep, out);
                 }
             }
         }
@@ -860,8 +850,6 @@ impl Nic {
             .and_then(|ch| ch.unbind(self.cfg.rto_base))
             .expect("failover with nothing bound");
         let uid = inf.uid;
-        let h = self.host.0;
-        self.audit(|a| a.on_channel_unbind(now, h, from.peer.0, from.idx, uid));
         let meta = self.pending_meta.remove(&uid);
         let (nacks, unbind_cycles, dst, pkey) =
             meta.unwrap_or((0, 0, GlobalEp::new(from.peer, inf.frame.dst_ep), inf.frame.key));
@@ -869,12 +857,7 @@ impl Nic {
             FrameKind::Data(m) => m,
             _ => unreachable!("in-flight frames carry data"),
         };
-        self.stats.failovers.inc();
-        self.audit(|a| a.on_failover(now, h, uid));
-        if let Some(t) = &mut self.tel {
-            t.retx_end(now, &from);
-            t.instant(now, "failover", format!("uid={uid:#x} chan {} → {}", from.idx, to.idx));
-        }
+        self.probe(now, NicProbe::Failover { from, to, uid });
         let ps = PendingSend { uid, dst, key: pkey, msg, not_before: now, nacks, unbind_cycles };
         self.transmit(now, inf.src_ep, ps, to, out);
         self.cfg.costs.retransmit
@@ -903,10 +886,9 @@ impl Nic {
             // channel is reserved now so a second bulk send cannot race it
             // during the DMA; the bind happens at completion.
             self.tx.get_mut(&chan).expect("allocated").reserved = true;
-            let delay = self.dma.start(now, DmaDirection::ReadHost, ps.msg.payload_bytes);
-            if let Some(t) = &mut self.tel {
-                t.dma_span(now, now + delay, "dma_send_stage", ps.msg.payload_bytes);
-            }
+            let bytes = ps.msg.payload_bytes;
+            let delay = self.dma.start(now, DmaDirection::ReadHost, bytes);
+            self.probe(now, NicProbe::Dma { name: "dma_send_stage", delay, bytes });
             let uid = ps.uid;
             self.staging_out.insert(uid, StagedSend { ps, chan, src_ep: ep });
             out.push(NicOut::After(delay, NicEvent::DmaDone(DmaTag::SendStaged { uid })));
@@ -927,11 +909,6 @@ impl Nic {
         chan: ChannelKey,
         out: &mut Vec<NicOut>,
     ) {
-        if let Some(t) = &mut self.tel {
-            // A parked message (NACK backoff / post-unbind wait) is now
-            // rebound: close its park span.
-            t.park_end(now, ps.uid);
-        }
         let frame = Frame {
             kind: FrameKind::Data(ps.msg.clone()),
             dst_ep: ps.dst.ep,
@@ -955,9 +932,9 @@ impl Nic {
         // the PendingSend fields we need on unbind inside the frame's msg —
         // nacks/unbind_cycles are carried in `pending_meta`.
         let ch = self.tx.get_mut(&chan).expect("channel allocated");
-        let _seq = ch.bind(inf);
+        let seq = ch.bind(inf);
         let inf = ch.in_flight.as_mut().unwrap();
-        inf.frame.seq = _seq;
+        inf.frame.seq = seq;
         self.pending_meta.insert(ps.uid, (ps.nacks, ps.unbind_cycles, ps.dst, ps.key));
         let gen = inf.gen;
         let ch_rto = ch.rto;
@@ -970,11 +947,9 @@ impl Nic {
             bytes,
             payload: self.tx[&chan].in_flight.as_ref().unwrap().frame.clone(),
         };
-        self.emit(pkt, out);
+        self.emit(now, pkt, out);
         out.push(NicOut::After(rto, NicEvent::Retx { key: chan, gen }));
-        self.stats.data_sent.inc();
-        let h = self.host.0;
-        self.audit(|a| a.on_channel_bind(now, h, chan.peer.0, chan.idx, ps.uid, _seq));
+        self.probe(now, NicProbe::Bind { chan, uid: ps.uid, seq });
         // Recovery invariant (§3.2): with a campaign oracle attached, a
         // send planned over a scheduled-down route while a free channel
         // with an up route existed means failover failed to do its job.
@@ -982,7 +957,7 @@ impl Nic {
             && !self.route_is_up(now, chan.peer, chan.idx)
             && self.has_free_up_alternative(now, chan)
         {
-            self.audit(|a| a.on_down_route_send(now, h, chan.peer.0, chan.idx, ps.uid));
+            self.probe(now, NicProbe::DownRouteSend { chan, uid: ps.uid });
         }
     }
 
@@ -1013,10 +988,9 @@ impl Nic {
         out: &mut Vec<NicOut>,
     ) -> SimDuration {
         if bulk {
-            let delay = self.dma.start(now, DmaDirection::ReadHost, ps.msg.payload_bytes);
-            if let Some(t) = &mut self.tel {
-                t.dma_span(now, now + delay, "dma_send_stage", ps.msg.payload_bytes);
-            }
+            let bytes = ps.msg.payload_bytes;
+            let delay = self.dma.start(now, DmaDirection::ReadHost, bytes);
+            self.probe(now, NicProbe::Dma { name: "dma_send_stage", delay, bytes });
             let uid = ps.uid;
             let chan = ChannelKey { peer: ps.dst.host, idx: 0 };
             self.staging_out.insert(uid, StagedSend { ps, chan, src_ep: EpId(0) });
@@ -1033,6 +1007,7 @@ impl Nic {
                 timestamp: Self::ts32(now),
             };
             self.emit(
+                now,
                 Packet {
                     src: self.host,
                     dst: ps.dst.host,
@@ -1042,7 +1017,7 @@ impl Nic {
                 },
                 out,
             );
-            self.stats.data_sent.inc();
+            self.probe(now, NicProbe::GamSend);
             self.cfg.costs.send_small
         }
     }
@@ -1091,7 +1066,7 @@ impl Nic {
         if self.rx.entry(rxk).or_default().accept(frame.seq) == SeqClass::Resync {
             // Sender epoch advanced (unbind churn or failover rebind);
             // sequencing state adopted (§5.1 self-resynchronization).
-            self.stats.resyncs.inc();
+            self.probe(now, NicProbe::Resync);
         }
 
         if self.cfg.mode == NicMode::Gam {
@@ -1099,29 +1074,22 @@ impl Nic {
         }
         // Duplicate? Ack again, deliver nothing.
         if self.dedup.contains(msg.uid) {
-            self.stats.duplicates.inc();
-            let h = self.host.0;
-            self.audit(|a| a.on_duplicate_filtered(now, h, msg.uid));
+            self.probe(now, NicProbe::Duplicate);
             self.send_ack(now, src, &frame, None, out);
             return self.cfg.costs.recv_small;
         }
         // A copy of a bulk frame whose first copy is still staging through
         // the SBUS: drop it silently — the staged copy will ack on deposit.
         if self.staging_in.contains_key(&msg.uid) {
-            self.stats.duplicates.inc();
-            let h = self.host.0;
-            self.audit(|a| a.on_duplicate_filtered(now, h, msg.uid));
+            self.probe(now, NicProbe::Duplicate);
             return self.cfg.costs.recv_small;
         }
         // Admission checks (fast, before any DMA).
         if let Some(reason) = self.admission_check(&frame, &msg) {
-            self.stats.nacks_tx.inc();
-            if let Some(t) = &mut self.tel {
-                t.instant(now, "nack_tx", format!("{reason:?} ep={} uid={:#x}", frame.dst_ep.0, msg.uid));
-            }
+            self.probe(now, NicProbe::NackTx { reason, ep: Some(frame.dst_ep), uid: msg.uid });
             self.send_ack(now, src, &frame, Some(reason), out);
             if reason == NackReason::NotResident {
-                self.request_residency(frame.dst_ep, out);
+                self.request_residency(now, frame.dst_ep, out);
             }
             return self.cfg.costs.recv_small;
         }
@@ -1131,17 +1099,14 @@ impl Nic {
             // draws a transient NACK and the sender backs off, exactly the
             // self-regulation receive-queue overruns get (§6.4.1).
             if self.staging_in.len() >= self.cfg.recv_staging_bufs {
-                self.stats.nacks_tx.inc();
-                if let Some(t) = &mut self.tel {
-                    t.instant(now, "nack_tx", format!("RecvQueueFull uid={:#x}", msg.uid));
-                }
-                self.send_ack(now, src, &frame, Some(NackReason::RecvQueueFull), out);
+                let reason = NackReason::RecvQueueFull;
+                self.probe(now, NicProbe::NackTx { reason, ep: None, uid: msg.uid });
+                self.send_ack(now, src, &frame, Some(reason), out);
                 return self.cfg.costs.recv_small;
             }
-            let delay = self.dma.start(now, DmaDirection::WriteHost, msg.payload_bytes);
-            if let Some(t) = &mut self.tel {
-                t.dma_span(now, now + delay, "dma_recv_stage", msg.payload_bytes);
-            }
+            let bytes = msg.payload_bytes;
+            let delay = self.dma.start(now, DmaDirection::WriteHost, bytes);
+            self.probe(now, NicProbe::Dma { name: "dma_recv_stage", delay, bytes });
             let uid = msg.uid;
             self.staging_in.insert(uid, StagedRecv { src, frame });
             out.push(NicOut::After(delay, NicEvent::DmaDone(DmaTag::RecvStaged { uid })));
@@ -1177,7 +1142,7 @@ impl Nic {
         }
     }
 
-    fn request_residency(&mut self, ep: EpId, out: &mut Vec<NicOut>) {
+    fn request_residency(&mut self, now: SimTime, ep: EpId, out: &mut Vec<NicOut>) {
         // Suppress while loading (already on its way) or draining (the
         // driver just decided to evict it; the sender's retry will re-raise
         // after the unload completes).
@@ -1187,7 +1152,7 @@ impl Nic {
         }
         if self.need_resident_pending.insert(ep) {
             let clock = self.tick_clock(0);
-            self.stats.resident_requests.inc();
+            self.probe(now, NicProbe::ResidentRequest);
             out.push(NicOut::Driver(DriverMsg::NeedResident { ep, clock }));
         }
     }
@@ -1214,9 +1179,8 @@ impl Nic {
                 msg.payload_bytes,
                 penalty,
             );
-            if let Some(t) = &mut self.tel {
-                t.dma_span(now, now + delay, "dma_recv_stage", msg.payload_bytes);
-            }
+            let bytes = msg.payload_bytes;
+            self.probe(now, NicProbe::Dma { name: "dma_recv_stage", delay, bytes });
             let uid = msg.uid;
             self.staging_in.insert(uid, StagedRecv { src: _src, frame });
             out.push(NicOut::After(delay, NicEvent::DmaDone(DmaTag::RecvStaged { uid })));
@@ -1263,16 +1227,12 @@ impl Nic {
             &mut image.recv_rep
         };
         q.push_back(DeliveredMsg { msg, undeliverable, deposited_at: now });
-        self.stats.deposits.inc();
         let image = self.frames[fi].image().unwrap();
         if was_idle && image.notify_on_arrival {
             let clock = self.tick_clock(0);
             out.push(NicOut::Driver(DriverMsg::Event { ep, clock }));
         }
-        if !undeliverable {
-            let h = self.host.0;
-            self.audit(|a| a.on_delivered(now, h, uid));
-        }
+        self.probe(now, if undeliverable { NicProbe::Returned } else { NicProbe::Delivered { uid } });
         Ok(())
     }
 
@@ -1323,10 +1283,10 @@ impl Nic {
             timestamp: data_frame.timestamp, // reflected (§5.1)
         };
         self.emit(
+            now,
             Packet { src: self.host, dst: to, channel: data_frame.chan, bytes: 0, payload: frame },
             out,
         );
-        let _ = now;
     }
 
     // -------------------------------------------------------------- ack path
@@ -1364,88 +1324,65 @@ impl Nic {
         let Some(inf) = completed else {
             return; // stale ack of an unbound copy
         };
-        let h = self.host.0;
-        self.audit(|a| a.on_channel_complete(now, h, src.0, chan, ack_uid));
-        if let Some(t) = &mut self.tel {
-            // The channel produced an acknowledgment: any open
-            // retransmission episode on it is over.
-            t.retx_end(now, &key);
-        }
-        self.dec_in_flight(now, inf.src_ep, out);
         // Observed RTT via the reflected timestamp. Because the receiver
         // echoes the timestamp of the specific copy it saw, the sample is
         // unambiguous even for retransmitted frames (no Karn's rule
         // needed — the reason §5.1 puts a timestamp in every link header).
-        let rtt = Self::ts32(now).wrapping_sub(timestamp);
-        self.stats.rtt_us.record(rtt as f64);
+        let rtt_us = Self::ts32(now).wrapping_sub(timestamp);
+        self.probe(now, NicProbe::Acked { chan: key, uid: ack_uid, rtt_us, nack });
+        self.dec_in_flight(now, inf.src_ep, out);
         if self.cfg.adaptive_rto && nack.is_none() {
-            self.observe_rtt(src, rtt as f64);
+            self.observe_rtt(src, rtt_us as f64);
         }
         let meta = self.pending_meta.remove(&inf.uid);
-        match nack {
-            None => {
-                self.stats.acks_rx.inc();
-                // If this message had entered a retransmission episode,
-                // the ack ends it: sample the time from first timer
-                // expiry to acknowledgment (the recovery distribution).
-                if let Some(t0) = self.troubled.remove(&inf.uid) {
-                    self.stats.recovery_us.record((now - t0).as_micros_f64());
-                }
+        let Some(reason) = nack else {
+            // A positive ack ends the message's retransmission episode, if
+            // it had one: the time since its first timer expiry is a
+            // recovery sample.
+            if let Some(t0) = self.troubled.remove(&inf.uid) {
+                self.probe(now, NicProbe::Recovered { took: now - t0 });
             }
-            Some(reason) => {
-                self.stats.record_nack_rx(reason);
-                let (nacks, unbind_cycles, dst, pkey) = meta.unwrap_or((
-                    0,
-                    0,
-                    GlobalEp::new(src, inf.frame.dst_ep),
-                    inf.frame.key,
-                ));
-                let msg = match inf.frame.kind {
-                    FrameKind::Data(m) => m,
-                    _ => unreachable!("in-flight frames carry data"),
-                };
-                if reason.is_transient() {
-                    // Park for a backoff and retry (§6.4.1: "negatively
-                    // acknowledged and retransmitted later").
-                    let exp = nacks.min(5);
-                    let delay = self
-                        .cfg
-                        .nack_retry_base
-                        .saturating_mul(1 << exp)
-                        .min(self.cfg.nack_retry_max)
-                        .mul_f64(self.rng.jitter(0.3));
-                    if let Some(t) = &mut self.tel {
-                        t.instant(now, "nack_rx", format!("{reason:?} uid={:#x}", inf.uid));
-                        t.park_begin(
-                            now,
-                            inf.uid,
-                            "nack_backoff",
-                            format!(
-                                "{reason:?} nacks={} delay={:.1}us",
-                                nacks + 1,
-                                delay.as_micros_f64()
-                            ),
-                        );
-                    }
-                    self.park_for_retry(
-                        now,
-                        inf.src_ep,
-                        PendingSend {
-                            uid: inf.uid,
-                            dst,
-                            key: pkey,
-                            msg,
-                            not_before: now + delay,
-                            nacks: nacks + 1,
-                            unbind_cycles,
-                        },
-                        out,
-                    );
-                } else {
-                    // Hard failure: return to sender (§3.2).
-                    self.return_to_sender(now, inf.src_ep, msg, out);
-                }
-            }
+            return;
+        };
+        let (nacks, unbind_cycles, dst, pkey) = meta.unwrap_or((
+            0,
+            0,
+            GlobalEp::new(src, inf.frame.dst_ep),
+            inf.frame.key,
+        ));
+        let msg = match inf.frame.kind {
+            FrameKind::Data(m) => m,
+            _ => unreachable!("in-flight frames carry data"),
+        };
+        if reason.is_transient() {
+            // Park for a backoff and retry (§6.4.1: "negatively
+            // acknowledged and retransmitted later").
+            let exp = nacks.min(5);
+            let delay = self
+                .cfg
+                .nack_retry_base
+                .saturating_mul(1 << exp)
+                .min(self.cfg.nack_retry_max)
+                .mul_f64(self.rng.jitter(0.3));
+            let (uid, nacks) = (inf.uid, nacks + 1);
+            self.probe(now, NicProbe::NackBackoff { uid, reason, nacks, delay });
+            self.park_for_retry(
+                now,
+                inf.src_ep,
+                PendingSend {
+                    uid: inf.uid,
+                    dst,
+                    key: pkey,
+                    msg,
+                    not_before: now + delay,
+                    nacks,
+                    unbind_cycles,
+                },
+                out,
+            );
+        } else {
+            // Hard failure: return to sender (§3.2).
+            self.return_to_sender(now, inf.src_ep, msg, out);
         }
     }
 
@@ -1478,25 +1415,14 @@ impl Nic {
         }
         // Endpoint gone mid-flight (freed): teardown discards its traffic.
         self.troubled.remove(&ps.uid);
-        let h = self.host.0;
-        self.audit(|a| a.on_send_aborted(now, h, ps.uid));
-        if let Some(t) = &mut self.tel {
-            t.park_end(now, ps.uid);
-            t.instant(now, "send_aborted", format!("uid={:#x} ep={} gone", ps.uid, ep.0));
-        }
+        self.probe(now, NicProbe::SendAborted { uid: ps.uid, ep, why: "gone" });
     }
 
     /// Deliver `msg` back to its source endpoint marked undeliverable.
     fn return_to_sender(&mut self, now: SimTime, ep: EpId, msg: Arc<UserMsg>, out: &mut Vec<NicOut>) {
-        self.stats.returned_to_sender.inc();
-        let h = self.host.0;
         let uid = msg.uid;
         self.troubled.remove(&uid); // bounced, not recovered: no sample
-        self.audit(|a| a.on_bounced(now, h, uid));
-        if let Some(t) = &mut self.tel {
-            t.park_end(now, uid);
-            t.instant(now, "bounce", format!("uid={uid:#x} ep={}", ep.0));
-        }
+        self.probe(now, NicProbe::Bounced { uid, ep });
         if self.deposit(now, ep, msg.clone(), true, out).is_err() {
             // Not resident or queue full: hold and flush later.
             self.pending_returns.entry(ep).or_default().push_back(DeliveredMsg {
@@ -1504,7 +1430,7 @@ impl Nic {
                 undeliverable: true,
                 deposited_at: now,
             });
-            self.request_residency(ep, out);
+            self.request_residency(now, ep, out);
         }
     }
 
@@ -1550,10 +1476,7 @@ impl Nic {
         if inf.retx + 1 > self.cfg.max_retx_before_unbind {
             // Unbind so the shared channel can be reused (§5.1).
             let inf = ch.unbind(self.cfg.rto_base).unwrap();
-            self.stats.unbinds.inc();
-            let h = self.host.0;
             let uid = inf.uid;
-            self.audit(|a| a.on_channel_unbind(now, h, key.peer.0, key.idx, uid));
             self.dec_in_flight(now, inf.src_ep, out);
             let meta = self.pending_meta.remove(&inf.uid);
             let (nacks, unbind_cycles, dst, pkey) = meta.unwrap_or((
@@ -1562,35 +1485,18 @@ impl Nic {
                 GlobalEp::new(key.peer, inf.frame.dst_ep),
                 inf.frame.key,
             ));
-            if let Some(t) = &mut self.tel {
-                t.retx_end(now, &key);
-                t.instant(
-                    now,
-                    "unbind",
-                    format!("uid={uid:#x} after {} retx (cycle {})", inf.retx, unbind_cycles + 1),
-                );
-            }
+            let cycle = unbind_cycles + 1;
+            self.probe(now, NicProbe::Unbind { chan: key, uid, retx: inf.retx, cycle });
             let msg = match inf.frame.kind {
                 FrameKind::Data(m) => m,
                 _ => unreachable!(),
             };
-            if unbind_cycles + 1 > self.cfg.max_unbind_cycles {
+            if cycle > self.cfg.max_unbind_cycles {
                 // Prolonged absence of acknowledgments: unrecoverable (§5.1).
                 self.return_to_sender(now, inf.src_ep, msg, out);
             } else {
                 let delay = self.cfg.rto_max.mul_f64(self.rng.jitter(0.3));
-                if let Some(t) = &mut self.tel {
-                    t.park_begin(
-                        now,
-                        uid,
-                        "unbind_backoff",
-                        format!(
-                            "cycle {} delay={:.1}us",
-                            unbind_cycles + 1,
-                            delay.as_micros_f64()
-                        ),
-                    );
-                }
+                self.probe(now, NicProbe::UnbindBackoff { uid, cycle, delay });
                 self.park_for_retry(
                     now,
                     inf.src_ep,
@@ -1601,7 +1507,7 @@ impl Nic {
                         msg,
                         not_before: now + delay,
                         nacks,
-                        unbind_cycles: unbind_cycles + 1,
+                        unbind_cycles: cycle,
                     },
                     out,
                 );
@@ -1627,16 +1533,9 @@ impl Nic {
         };
         let ch_rto = ch.rto;
         let rto = self.rto_for(key.peer, ch_rto, payload_bytes).mul_f64(self.rng.jitter(0.25));
-        self.emit(pkt, out);
+        self.emit(now, pkt, out);
         out.push(NicOut::After(rto, NicEvent::Retx { key, gen }));
-        self.stats.retransmits.inc();
-        if let Some(t) = &mut self.tel {
-            // Opens the channel's retransmission episode on the first
-            // retransmit of this binding (idempotent on later ones).
-            t.retx_begin(now, key, uid);
-        }
-        let h = self.host.0;
-        self.audit(|a| a.on_channel_retransmit(now, h, key.peer.0, key.idx, uid));
+        self.probe(now, NicProbe::Retransmit { chan: key, uid });
         self.cfg.costs.retransmit
     }
 
@@ -1657,6 +1556,7 @@ impl Nic {
                         timestamp: Self::ts32(now),
                     };
                     self.emit(
+                        now,
                         Packet {
                             src: self.host,
                             dst: st.ps.dst.host,
@@ -1666,7 +1566,7 @@ impl Nic {
                         },
                         out,
                     );
-                    self.stats.data_sent.inc();
+                    self.probe(now, NicProbe::GamSend);
                 } else {
                     self.transmit(now, st.src_ep, st.ps, st.chan, out);
                 }
@@ -1680,7 +1580,7 @@ impl Nic {
                 };
                 if self.cfg.mode == NicMode::Gam {
                     if self.deposit(now, st.frame.dst_ep, msg, false, out).is_err() {
-                        self.stats.gam_overruns.inc();
+                        self.probe(now, NicProbe::GamOverrun);
                     }
                 } else {
                     match self.deposit(now, st.frame.dst_ep, msg.clone(), false, out) {
@@ -1689,10 +1589,11 @@ impl Nic {
                             self.send_ack(now, st.src, &st.frame, None, out);
                         }
                         Err(reason) => {
-                            self.stats.nacks_tx.inc();
+                            let ep = Some(st.frame.dst_ep);
+                            self.probe(now, NicProbe::NackTx { reason, ep, uid });
                             self.send_ack(now, st.src, &st.frame, Some(reason), out);
                             if reason == NackReason::NotResident {
-                                self.request_residency(st.frame.dst_ep, out);
+                                self.request_residency(now, st.frame.dst_ep, out);
                             }
                         }
                     }
@@ -1706,7 +1607,7 @@ impl Nic {
                     panic!("LoadDone for a frame not in Loading state");
                 };
                 self.frames[fi] = FrameSlot::Active { ep, image };
-                self.stats.loads.inc();
+                self.probe(now, NicProbe::Loaded);
                 self.flush_pending_returns(ep);
                 let clock = self.tick_clock(0);
                 out.push(NicOut::Driver(DriverMsg::Loaded { ep, clock }));
@@ -1720,7 +1621,7 @@ impl Nic {
                 };
                 self.ep_frame.remove(&ep);
                 self.unload_dma_started.remove(&ep);
-                self.stats.unloads.inc();
+                self.probe(now, NicProbe::Unloaded);
                 let clock = self.tick_clock(0);
                 out.push(NicOut::Driver(DriverMsg::Unloaded { ep, image, clock }));
                 self.cfg.costs.driver_op / 2
@@ -1742,10 +1643,9 @@ impl Nic {
                     .expect("driver must evict before loading into a full NI");
                 self.frames[fi] = FrameSlot::Loading { ep, image, clock };
                 self.ep_frame.insert(ep, fi);
-                let delay = self.dma.start(now, DmaDirection::ReadHost, self.cfg.frame_bytes);
-                if let Some(t) = &mut self.tel {
-                    t.dma_span(now, now + delay, "dma_ep_load", self.cfg.frame_bytes);
-                }
+                let bytes = self.cfg.frame_bytes;
+                let delay = self.dma.start(now, DmaDirection::ReadHost, bytes);
+                self.probe(now, NicProbe::Dma { name: "dma_ep_load", delay, bytes });
                 out.push(NicOut::After(delay, NicEvent::DmaDone(DmaTag::LoadDone { ep })));
                 self.cfg.costs.driver_op
             }
@@ -1796,12 +1696,7 @@ impl Nic {
                     }
                     self.pending_meta.remove(&uid);
                     self.dec_in_flight(now, ep, out);
-                    let h = self.host.0;
-                    self.audit(|a| a.on_send_aborted(now, h, uid));
-                    if let Some(t) = &mut self.tel {
-                        let detail = format!("uid={uid:#x} ep={} unregistered", ep.0);
-                        t.instant(now, "send_aborted", detail);
-                    }
+                    self.probe(now, NicProbe::SendAborted { uid, ep, why: "unregistered" });
                 }
                 self.cfg.costs.driver_op / 10
             }
@@ -1818,10 +1713,9 @@ impl Nic {
         let in_flight = self.in_flight_per_ep.get(&ep).copied().unwrap_or(0);
         let staging = self.staging_out.values().any(|s| s.src_ep == ep);
         if in_flight == 0 && !staging && self.unload_dma_started.insert(ep) {
-            let delay = self.dma.start(now, DmaDirection::WriteHost, self.cfg.frame_bytes);
-            if let Some(t) = &mut self.tel {
-                t.dma_span(now, now + delay, "dma_ep_unload", self.cfg.frame_bytes);
-            }
+            let bytes = self.cfg.frame_bytes;
+            let delay = self.dma.start(now, DmaDirection::WriteHost, bytes);
+            self.probe(now, NicProbe::Dma { name: "dma_ep_unload", delay, bytes });
             out.push(NicOut::After(delay, NicEvent::DmaDone(DmaTag::UnloadDone { ep })));
         }
     }

@@ -10,86 +10,10 @@ use crate::sched::Tid;
 use crate::stats::OsStats;
 use std::collections::{HashMap, HashSet, VecDeque};
 use vnet_nic::{DriverMsg, DriverOp, EndpointImage, EpId, ProtectionKey};
-use vnet_sim::telemetry::{SpanId, TelemetryHandle};
-use vnet_sim::{AuditHandle, Auditor, EpPhase, SimDuration, SimRng, SimTime};
+use vnet_sim::{AuditHandle, EpPhase, SimDuration, SimRng, SimTime, TelemetryHandle};
 
-/// Perfetto track for segment-driver residency transitions.
-pub const TRACK_SEG: &str = "os.seg";
-
-/// Telemetry state owned by one segment driver: residency transitions
-/// (remap request → loaded, eviction → unloaded, swap-in) become spans
-/// on the `os.seg` track; faults become instantaneous markers. Hooks are
-/// no-ops when detached (the driver holds an `Option` of this).
-struct OsTelemetry {
-    tel: TelemetryHandle,
-    host: u32,
-    /// Open remap span per endpoint (first remap request → Loaded).
-    load_spans: HashMap<EpId, SpanId>,
-    /// Open eviction span per endpoint (Unload issued → Unloaded).
-    unload_spans: HashMap<EpId, SpanId>,
-    /// Open swap-in span per endpoint (PagingIn → PageInDone).
-    pagein_spans: HashMap<EpId, SpanId>,
-}
-
-impl OsTelemetry {
-    fn new(host: u32, tel: TelemetryHandle) -> Self {
-        OsTelemetry {
-            tel,
-            host,
-            load_spans: HashMap::new(),
-            unload_spans: HashMap::new(),
-            pagein_spans: HashMap::new(),
-        }
-    }
-
-    fn begin(
-        map: &mut HashMap<EpId, SpanId>,
-        tel: &TelemetryHandle,
-        host: u32,
-        at: SimTime,
-        ep: EpId,
-        name: &'static str,
-        detail: String,
-    ) {
-        if let std::collections::hash_map::Entry::Vacant(e) = map.entry(ep) {
-            e.insert(tel.borrow_mut().span_begin(at, host, TRACK_SEG, name, detail));
-        }
-    }
-
-    fn end(map: &mut HashMap<EpId, SpanId>, tel: &TelemetryHandle, at: SimTime, ep: EpId) {
-        if let Some(id) = map.remove(&ep) {
-            tel.borrow_mut().span_end(at, id);
-        }
-    }
-
-    fn load_begin(&mut self, at: SimTime, ep: EpId, detail: String) {
-        Self::begin(&mut self.load_spans, &self.tel, self.host, at, ep, "ep_load", detail);
-    }
-
-    fn load_end(&mut self, at: SimTime, ep: EpId) {
-        Self::end(&mut self.load_spans, &self.tel, at, ep);
-    }
-
-    fn unload_begin(&mut self, at: SimTime, ep: EpId, detail: String) {
-        Self::begin(&mut self.unload_spans, &self.tel, self.host, at, ep, "ep_unload", detail);
-    }
-
-    fn unload_end(&mut self, at: SimTime, ep: EpId) {
-        Self::end(&mut self.unload_spans, &self.tel, at, ep);
-    }
-
-    fn pagein_begin(&mut self, at: SimTime, ep: EpId) {
-        Self::begin(&mut self.pagein_spans, &self.tel, self.host, at, ep, "page_in", String::new());
-    }
-
-    fn pagein_end(&mut self, at: SimTime, ep: EpId) {
-        Self::end(&mut self.pagein_spans, &self.tel, at, ep);
-    }
-
-    fn instant(&mut self, at: SimTime, name: &'static str, detail: String) {
-        self.tel.borrow_mut().instant(at, self.host, TRACK_SEG, name, detail);
-    }
-}
+mod probe;
+use probe::{OsProbe, UnloadCause};
 
 /// Residency state of an endpoint (Figure 2 of the paper, plus the
 /// transition states the driver needs for bookkeeping).
@@ -184,10 +108,10 @@ pub struct SegmentDriver {
     stats: OsStats,
     /// Host index for audit and span records (set by the composing world).
     host_idx: u32,
-    /// Cross-layer invariant auditor (hooks are no-ops when detached).
+    /// Cross-layer invariant auditor; `None` when detached.
     auditor: Option<AuditHandle>,
-    /// Unified telemetry (hooks are no-ops when detached).
-    tel: Option<OsTelemetry>,
+    /// The shard's span log; `None` when detached.
+    tel: Option<TelemetryHandle>,
     /// Latest simulated time seen by any timed entry point; stands in for
     /// `now` on untimed calls like [`SegmentDriver::pageout`].
     now_hint: SimTime,
@@ -230,31 +154,7 @@ impl SegmentDriver {
     /// `host` is this node's index in the composing world.
     pub fn attach_telemetry(&mut self, host: u32, tel: TelemetryHandle) {
         self.host_idx = host;
-        self.tel = Some(OsTelemetry::new(host, tel));
-    }
-
-    fn audit(&self, f: impl FnOnce(&mut Auditor)) {
-        if let Some(a) = &self.auditor {
-            f(&mut a.borrow_mut());
-        }
-    }
-
-    fn instant(&mut self, at: SimTime, name: &'static str, ep: EpId, why: &str) {
-        if let Some(t) = &mut self.tel {
-            t.instant(at, name, format!("ep={} {why}", ep.0));
-        }
-    }
-
-    /// The endpoint record is gone: tell the auditor and mark the log.
-    fn destroyed(&mut self, at: SimTime, ep: EpId, why: &str) {
-        let h = self.host_idx;
-        self.audit(|a| a.os_destroyed(at, h, ep.0));
-        self.instant(at, "ep_freed", ep, why);
-    }
-
-    fn audit_phase(&self, at: SimTime, ep: EpId, to: EpPhase) {
-        let h = self.host_idx;
-        self.audit(|a| a.os_transition(at, h, ep.0, to));
+        self.tel = Some(tel);
     }
 
     /// Instrumentation counters.
@@ -288,24 +188,9 @@ impl SegmentDriver {
         key: ProtectionKey,
         out: &mut Vec<OsOut>,
     ) -> EpId {
-        self.now_hint = self.now_hint.max(now);
         let ep = EpId(self.next_ep);
         self.next_ep += 1;
-        self.eps.insert(
-            ep,
-            EpRecord {
-                state: EpState::HostRo,
-                image: Some(Box::new(EndpointImage::new(key))),
-                last_activity: now,
-                load_seq: 0,
-                remap_requested_at: None,
-                migrating: false,
-            },
-        );
-        let clock = self.tick(0);
-        out.push(OsOut::Nic(DriverOp::Register { ep, clock }));
-        let h = self.host_idx;
-        self.audit(|a| a.os_created(now, h, ep.0));
+        self.create_endpoint_with_id(now, ep, key, out);
         ep
     }
 
@@ -335,8 +220,7 @@ impl SegmentDriver {
         );
         let clock = self.tick(0);
         out.push(OsOut::Nic(DriverOp::Register { ep, clock }));
-        let h = self.host_idx;
-        self.audit(|a| a.os_created(now, h, ep.0));
+        self.probe(now, OsProbe::Created { ep });
     }
 
     /// Begin migrating an endpoint off this host: evict it from the NI and
@@ -355,10 +239,8 @@ impl SegmentDriver {
         }
         rec.migrating = true;
         rec.remap_requested_at = None;
-        if let Some(t) = &mut self.tel {
-            t.load_end(now, ep);
-            t.instant(now, "migrate_out", format!("ep={}", ep.0));
-        }
+        self.probe(now, OsProbe::MigrateOut { ep });
+        let rec = self.eps.get_mut(&ep).expect("checked above");
         match rec.state {
             EpState::HostRo | EpState::HostRw => {
                 // Stay on host, writable: the service drains in place.
@@ -368,10 +250,7 @@ impl SegmentDriver {
                 rec.state = EpState::Unloading;
                 let clock = self.tick(0);
                 out.push(OsOut::Nic(DriverOp::Unload { ep, clock }));
-                self.audit_phase(now, ep, EpPhase::Unloading);
-                if let Some(t) = &mut self.tel {
-                    t.unload_begin(now, ep, "migrating".to_string());
-                }
+                self.probe(now, OsProbe::Unload { ep, cause: UnloadCause::Migrating });
             }
             // Loading/Unloading/PagingIn: the completion handler sees the
             // flag and parks the endpoint on host. Disk/Freeing: nothing.
@@ -392,7 +271,7 @@ impl SegmentDriver {
             return;
         }
         rec.migrating = false;
-        self.instant(now, "hold_lifted", ep, "lame-duck drain");
+        self.probe(now, OsProbe::HoldLifted { ep });
         self.nudge_drain(now, ep, out);
     }
 
@@ -456,10 +335,7 @@ impl SegmentDriver {
                 let clock = self.tick(0);
                 out.push(OsOut::Nic(DriverOp::Unload { ep, clock }));
                 // Unregister happens when the unload completes.
-                self.audit_phase(now, ep, EpPhase::Unloading);
-                if let Some(t) = &mut self.tel {
-                    t.unload_begin(now, ep, "freed".to_string());
-                }
+                self.probe(now, OsProbe::Unload { ep, cause: UnloadCause::Freed });
             }
             EpState::Loading | EpState::Unloading => {
                 // In transition: mark; the completion handler finishes it.
@@ -470,7 +346,7 @@ impl SegmentDriver {
                 self.abort_queued_sends(now, rec.image.as_deref());
                 let clock = self.tick(0);
                 out.push(OsOut::Nic(DriverOp::Unregister { ep, clock }));
-                self.destroyed(now, ep, "parked");
+                self.probe(now, OsProbe::Freed { ep, why: "parked" });
             }
         }
     }
@@ -481,9 +357,8 @@ impl SegmentDriver {
     fn abort_queued_sends(&mut self, now: SimTime, image: Option<&EndpointImage>) {
         let Some(image) = image else { return };
         let uids: Vec<u64> = image.send_q.iter().map(|p| p.uid).collect();
-        let h = self.host_idx;
         for uid in uids {
-            self.audit(|a| a.on_send_aborted(now, h, uid));
+            self.probe(now, OsProbe::SendAborted { uid });
         }
     }
 
@@ -519,10 +394,7 @@ impl SegmentDriver {
             EpState::NicRw => WriteOutcome::Resident,
             EpState::HostRw => WriteOutcome::Proceed, // already writable + queued
             EpState::HostRo => {
-                self.stats.write_faults.inc();
-                if let Some(t) = &mut self.tel {
-                    t.instant(now, "write_fault", format!("ep={}", ep.0));
-                }
+                self.probe(now, OsProbe::WriteFault { ep, paged_out: false });
                 let rec = self.eps.get_mut(&ep).unwrap();
                 rec.state = EpState::HostRw;
                 self.enqueue_remap(now, ep, out);
@@ -533,10 +405,7 @@ impl SegmentDriver {
                 }
             }
             EpState::Disk => {
-                self.stats.write_faults.inc();
-                if let Some(t) = &mut self.tel {
-                    t.instant(now, "write_fault", format!("ep={} (paged out)", ep.0));
-                }
+                self.probe(now, OsProbe::WriteFault { ep, paged_out: true });
                 // Swap-in is always synchronous for the faulting thread.
                 self.enqueue_remap(now, ep, out);
                 WriteOutcome::MustBlock
@@ -555,10 +424,7 @@ impl SegmentDriver {
         rec.last_activity = now;
         match rec.state {
             EpState::HostRo | EpState::HostRw | EpState::Disk => {
-                self.stats.proxy_faults.inc();
-                if let Some(t) = &mut self.tel {
-                    t.instant(now, "proxy_fault", format!("ep={}", ep.0));
-                }
+                self.probe(now, OsProbe::ProxyFault { ep });
                 if self.eps[&ep].state == EpState::HostRo {
                     self.eps.get_mut(&ep).unwrap().state = EpState::HostRw;
                 }
@@ -580,10 +446,7 @@ impl SegmentDriver {
         if let Some(rec) = self.eps.get_mut(&ep) {
             if rec.remap_requested_at.is_none() {
                 rec.remap_requested_at = Some(now);
-                if let Some(t) = &mut self.tel {
-                    // The full remap episode: request → resident.
-                    t.load_begin(now, ep, format!("ep={}", ep.0));
-                }
+                self.probe(now, OsProbe::RemapRequested { ep });
             }
         }
         self.daemon_q.push_back(ep);
@@ -614,10 +477,7 @@ impl SegmentDriver {
                     // Swap in first, then the daemon resumes with it.
                     self.eps.get_mut(&ep).unwrap().state = EpState::PagingIn;
                     out.push(OsOut::After(self.cfg.disk_delay, OsEvent::PageInDone { ep }));
-                    self.audit_phase(now, ep, EpPhase::PagingIn);
-                    if let Some(t) = &mut self.tel {
-                        t.pagein_begin(now, ep);
-                    }
+                    self.probe(now, OsProbe::PagingIn { ep });
                     return; // daemon stays busy, resumes on PageInDone
                 }
                 // Freed, already resident, or in transition: skip.
@@ -650,10 +510,8 @@ impl SegmentDriver {
                 return;
             };
             self.eps.get_mut(&victim).unwrap().state = EpState::Unloading;
-            self.audit_phase(now, victim, EpPhase::Unloading);
-            if let Some(t) = &mut self.tel {
-                t.unload_begin(now, victim, format!("evicted for ep={}", target.0));
-            }
+            let cause = UnloadCause::EvictedFor(target);
+            self.probe(now, OsProbe::Unload { ep: victim, cause });
             self.pending_after_unload = Some(target);
             // Re-queue marker removed when the load is finally issued.
             self.daemon_q.push_front(target);
@@ -665,30 +523,19 @@ impl SegmentDriver {
     /// Swap-in finished; endpoint proceeds to the load pipeline.
     pub fn on_page_in_done(&mut self, now: SimTime, ep: EpId, out: &mut Vec<OsOut>) {
         self.now_hint = self.now_hint.max(now);
-        self.stats.page_ins.inc();
-        let mut swapped_in = false;
+        let mut to_host = false;
         let mut held = false;
         if let Some(rec) = self.eps.get_mut(&ep) {
             if rec.state == EpState::PagingIn {
                 rec.state = EpState::HostRw;
-                if rec.migrating {
-                    // Migration started mid-swap-in: hold it on host so the
-                    // owning thread can drain it, but stay out of the remap
-                    // pipeline (the new residence takes over the NI frame).
-                    held = true;
-                } else {
-                    swapped_in = true;
-                    // Wake any thread that blocked for the swap-in; it still
-                    // waits for residency if it asked for that.
-                }
+                to_host = true;
+                // Migration started mid-swap-in: hold it on host so the
+                // owning thread can drain it, but stay out of the remap
+                // pipeline (the new residence takes over the NI frame).
+                held = rec.migrating;
             }
         }
-        if swapped_in || held {
-            self.audit_phase(now, ep, EpPhase::Host);
-        }
-        if let Some(t) = &mut self.tel {
-            t.pagein_end(now, ep);
-        }
+        self.probe(now, OsProbe::PagedIn { ep, to_host });
         if held {
             // Do not re-enter the remap pipeline; just let the daemon drain.
             if !self.daemon_q.is_empty() {
@@ -717,7 +564,7 @@ impl SegmentDriver {
         self.daemon_queued.remove(&ep);
         let clock = self.tick(0);
         out.push(OsOut::Nic(DriverOp::Load { ep, image, clock }));
-        self.audit_phase(now, ep, EpPhase::Loading);
+        self.probe(now, OsProbe::Load { ep });
         // The daemon waits for Loaded before taking the next request: remap
         // traffic is serialized through the single SBUS engine anyway.
     }
@@ -731,15 +578,10 @@ impl SegmentDriver {
         match msg {
             DriverMsg::Loaded { ep, clock } => {
                 self.tick(clock);
-                self.stats.loads.inc();
-                if let Some(t) = &mut self.tel {
-                    t.load_end(now, ep);
-                }
                 let mut loaded_phase = None;
+                let mut remap = None;
                 if let Some(rec) = self.eps.get_mut(&ep) {
-                    if let Some(t0) = rec.remap_requested_at.take() {
-                        self.stats.remap_latency_us.record(now.since(t0).as_micros_f64());
-                    }
+                    remap = rec.remap_requested_at.take().map(|t0| now.since(t0));
                     match rec.state {
                         EpState::Freeing => {
                             // Freed while loading: evict it again right away.
@@ -763,9 +605,7 @@ impl SegmentDriver {
                         }
                     }
                 }
-                if let Some(phase) = loaded_phase {
-                    self.audit_phase(now, ep, phase);
-                }
+                self.probe(now, OsProbe::Loaded { ep, phase: loaded_phase, remap });
                 // Continue the daemon pipeline.
                 if !self.daemon_q.is_empty() {
                     out.push(OsOut::After(self.cfg.daemon_op_cost, OsEvent::DaemonStep));
@@ -775,16 +615,11 @@ impl SegmentDriver {
             }
             DriverMsg::Unloaded { ep, image, clock } => {
                 self.tick(clock);
-                self.stats.unloads.inc();
-                if let Some(t) = &mut self.tel {
-                    t.unload_end(now, ep);
-                }
                 self.nic_occupied = self.nic_occupied.saturating_sub(1);
                 let mut freed = false;
                 let mut freed_image = None;
                 let mut nonempty = false;
-                let mut parked = false;
-                let mut migrated = false;
+                let mut to_host = false;
                 if let Some(rec) = self.eps.get_mut(&ep) {
                     if rec.state == EpState::Freeing {
                         freed = true;
@@ -796,17 +631,15 @@ impl SegmentDriver {
                         // the new residence takes over the NI frame.
                         rec.state = EpState::HostRw;
                         rec.image = Some(image);
-                        migrated = true;
+                        to_host = true;
                     } else {
                         nonempty = image.has_send_work();
                         rec.state = EpState::HostRo;
                         rec.image = Some(image);
-                        parked = true;
+                        to_host = true;
                     }
                 }
-                if parked || migrated {
-                    self.audit_phase(now, ep, EpPhase::Host);
-                }
+                self.probe(now, OsProbe::Unloaded { ep, to_host });
                 if nonempty {
                     // §4.2: "Eventually, the kernel makes the non-empty
                     // endpoint resident so communication can occur." An
@@ -821,7 +654,7 @@ impl SegmentDriver {
                     self.eps.remove(&ep);
                     let clock = self.tick(0);
                     out.push(OsOut::Nic(DriverOp::Unregister { ep, clock }));
-                    self.destroyed(now, ep, "unloaded");
+                    self.probe(now, OsProbe::Freed { ep, why: "unloaded" });
                 }
                 // If a target was waiting for this frame, load it now.
                 if let Some(target) = self.pending_after_unload.take() {
@@ -852,12 +685,12 @@ impl SegmentDriver {
     /// return the threads to wake — used by the composing world after a
     /// `Loaded` message (the scheduler knows who blocked).
     pub fn note_residency_wakes(&mut self, n: u64) {
-        self.stats.residency_wakes.add(n);
+        self.probe(self.now_hint, OsProbe::ResidencyWakes(n));
     }
 
     /// Record event wakeups (composing world).
     pub fn note_event_wakes(&mut self, n: u64) {
-        self.stats.event_wakes.add(n);
+        self.probe(self.now_hint, OsProbe::EventWakes(n));
     }
 
     // ------------------------------------------------------------- pageout
@@ -869,10 +702,7 @@ impl SegmentDriver {
         match self.eps.get_mut(&ep) {
             Some(rec) if rec.state == EpState::HostRo => {
                 rec.state = EpState::Disk;
-                self.stats.page_outs.inc();
-                let at = self.now_hint;
-                self.audit_phase(at, ep, EpPhase::Disk);
-                self.instant(at, "page_out", ep, "to swap");
+                self.probe(self.now_hint, OsProbe::PageOut { ep });
                 true
             }
             _ => false,

@@ -143,7 +143,9 @@ struct TenantAudit {
     epoch_nanos: u64,
 }
 
-/// Aggregate hook counters (useful for sanity checks and reports).
+/// The delivery ledger's hook counters (sanity checks and reports). Every
+/// other protocol count lives in the component stats (`NicStats`,
+/// `OsStats`), not here.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AuditCounters {
     /// Messages entered into the ledger.
@@ -154,17 +156,8 @@ pub struct AuditCounters {
     pub bounced: u64,
     /// Messages discarded on teardown.
     pub aborted: u64,
-    /// Duplicate copies suppressed by the dedup window.
-    pub duplicates_filtered: u64,
-    /// Channel retransmissions observed.
-    pub retransmits: u64,
-    /// Channel unbinds observed.
-    pub unbinds: u64,
     /// Stale-generation retransmit timers correctly suppressed.
     pub stale_timers_suppressed: u64,
-    /// Route failovers: a bound message re-planned around a scheduled
-    /// down link onto a channel whose route is up.
-    pub failovers: u64,
 }
 
 /// How many violations are kept verbatim; later ones only bump the count.
@@ -310,12 +303,6 @@ impl Auditor {
         }
     }
 
-    /// The dedup window suppressed a duplicate copy (the mechanism
-    /// working as intended — counted, never a violation).
-    pub fn on_duplicate_filtered(&mut self, _at: SimTime, _host: u32, _uid: u64) {
-        self.counters.duplicates_filtered += 1;
-    }
-
     // ------------------------------------------------------ stop-and-wait
 
     /// A frame was bound to channel `(host → peer, idx)` with `seq`.
@@ -362,7 +349,6 @@ impl Auditor {
 
     /// A channel forcibly evicted its in-flight frame (reuse, §5.1).
     pub fn on_channel_unbind(&mut self, at: SimTime, host: u32, peer: u32, idx: u8, uid: u64) {
-        self.counters.unbinds += 1;
         let cur = self.channels.entry((host, peer, idx)).or_default().in_flight;
         if cur != Some(uid) {
             let detail =
@@ -381,7 +367,6 @@ impl Auditor {
         idx: u8,
         uid: u64,
     ) {
-        self.counters.retransmits += 1;
         let cur = self.channels.entry((host, peer, idx)).or_default().in_flight;
         if cur != Some(uid) {
             let detail =
@@ -397,14 +382,6 @@ impl Auditor {
     }
 
     // ------------------------------------------------------ fault recovery
-
-    /// A sender re-planned a bound message around a scheduled down link
-    /// onto a channel whose route is up (§5.1 multipath used for
-    /// failover). Counted; the unbind/rebind pair itself is validated by
-    /// the stop-and-wait hooks.
-    pub fn on_failover(&mut self, _at: SimTime, _host: u32, _uid: u64) {
-        self.counters.failovers += 1;
-    }
 
     /// A frame was transmitted over a route containing a *scheduled*
     /// down link while a free channel with a fully-up route existed —
@@ -748,11 +725,7 @@ impl Auditor {
             f.counters.delivered += c.delivered;
             f.counters.bounced += c.bounced;
             f.counters.aborted += c.aborted;
-            f.counters.duplicates_filtered += c.duplicates_filtered;
-            f.counters.retransmits += c.retransmits;
-            f.counters.unbinds += c.unbinds;
             f.counters.stale_timers_suppressed += c.stale_timers_suppressed;
-            f.counters.failovers += c.failovers;
             f.total_violations += sh.total_violations;
             f.violations.extend(sh.violations.iter().cloned());
             for (&uid, &fate) in &sh.ledger {
@@ -881,12 +854,10 @@ mod tests {
         a.on_channel_bind(t(4), 0, 1, 0, 100, 0);
         a.on_channel_retransmit(t(5), 0, 1, 0, 100);
         a.on_delivered(t(6), 1, 100);
-        a.on_duplicate_filtered(t(7), 1, 100);
         a.on_channel_complete(t(8), 0, 1, 0, 100);
         a.on_credit_release(t(9), 0, 0, 100);
         assert!(!a.has_violations(), "{:?}", a.violations());
         assert_eq!(a.counters().delivered, 1);
-        assert_eq!(a.counters().duplicates_filtered, 1);
         assert_eq!(a.unresolved(), 0);
     }
 
@@ -1078,22 +1049,22 @@ mod tests {
     }
 
     #[test]
-    fn failover_counts_and_down_route_send_violates() {
+    fn down_route_send_violates() {
         let mut a = Auditor::new(32);
-        a.on_failover(t(1), 0, 100);
-        assert_eq!(a.counters().failovers, 1);
-        assert!(!a.has_violations());
         a.on_down_route_send(t(2), 0, 1, 2, 100);
         assert_eq!(named(&a), vec!["audit.down-route"]);
     }
 
     #[test]
-    fn fold_sums_failover_counters() {
+    fn fold_sums_ledger_counters() {
         let mut a = Auditor::new(32);
-        a.on_failover(t(0), 0, 1);
+        a.on_posted(t(0), 0, 1);
+        a.on_stale_timer(t(0), 0);
         let mut b = Auditor::new(32);
-        b.on_failover(t(1), 1, 2);
-        assert_eq!(Auditor::fold([&a, &b]).counters().failovers, 2);
+        b.on_delivered(t(1), 1, 1);
+        b.on_stale_timer(t(1), 1);
+        let c = Auditor::fold([&a, &b]).counters();
+        assert_eq!((c.posted, c.delivered, c.stale_timers_suppressed), (1, 1, 2));
     }
 
     #[test]

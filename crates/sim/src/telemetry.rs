@@ -48,6 +48,15 @@ use std::rc::Rc;
 /// Shared, single-threaded handle to a [`Telemetry`] span log.
 pub type TelemetryHandle = Rc<RefCell<Telemetry>>;
 
+/// Run `f` on the recorder behind `handle` (a span log or an auditor)
+/// when one is attached; detached, this is one `None` check.
+#[inline(always)]
+pub fn if_attached<T>(handle: Option<&Rc<RefCell<T>>>, f: impl FnOnce(&mut T)) {
+    if let Some(h) = handle {
+        f(&mut h.borrow_mut());
+    }
+}
+
 // ---------------------------------------------------------------------------
 // MetricSet: generic enumeration of metric-bearing structs
 // ---------------------------------------------------------------------------
@@ -368,6 +377,12 @@ enum SpanEvent {
 /// end is ignored. Host fields stay far below bit 63 (`host << 40`).
 const DROPPED: u64 = 1 << 63;
 
+/// Key of an open episode span: `(host, kind, subject)`. `kind` names the
+/// episode class (at most one open span per class and subject) and
+/// `subject` identifies what it is about on that host — a channel, a
+/// message uid, an endpoint.
+pub type EpisodeKey = (u32, &'static str, u64);
+
 /// The span log of one shard world: every span and instant its hosts
 /// record, bounded at `span_cap` events.
 #[derive(Debug, Default)]
@@ -385,6 +400,10 @@ pub struct Telemetry {
     /// id a sequential run would (each host's spans open in host event
     /// order, which sharding preserves).
     span_seq: FxHashMap<u32, u64>,
+    /// Open episode spans (retransmit, backoff, endpoint load/unload,
+    /// page-in), so the component that ends an episode needs only its
+    /// key, not the id its begin returned.
+    episodes: FxHashMap<EpisodeKey, SpanId>,
 }
 
 impl SpanEvent {
@@ -456,6 +475,29 @@ impl Telemetry {
         if id.0 & DROPPED == 0 {
             self.open -= 1;
             self.spans.push(SpanEvent::End { at, id: id.0 });
+        }
+    }
+
+    /// Open the episode span `key` on `layer` unless one is already open
+    /// under that key. `detail` is built only when the span opens.
+    pub fn open_episode<D: Into<SpanDetail>>(
+        &mut self,
+        at: SimTime,
+        key: EpisodeKey,
+        layer: &'static str,
+        name: &'static str,
+        detail: impl FnOnce() -> D,
+    ) {
+        if !self.episodes.contains_key(&key) {
+            let id = self.span_begin(at, key.0, layer, name, detail());
+            self.episodes.insert(key, id);
+        }
+    }
+
+    /// Close the episode span `key`, if one is open.
+    pub fn close_episode(&mut self, at: SimTime, key: EpisodeKey) {
+        if let Some(id) = self.episodes.remove(&key) {
+            self.span_end(at, id);
         }
     }
 
@@ -1006,6 +1048,23 @@ mod tests {
                 "every end pairs with a begin"
             );
         }
+    }
+
+    #[test]
+    fn episodes_open_once_and_close_by_key() {
+        let mut tel = Telemetry::new();
+        let key = (3, "retx", 7);
+        tel.open_episode(t(1), key, "nic.chan", "retx_episode", || "first");
+        // Already open under this key: no second span, detail never built.
+        tel.open_episode(t(2), key, "nic.chan", "retx_episode", || -> String { unreachable!() });
+        tel.open_episode(t(2), (3, "park", 7), "nic.chan", "nack_backoff", String::new);
+        tel.close_episode(t(4), key);
+        tel.close_episode(t(5), key); // closed already: ignored
+        let log = tel.span_log();
+        assert_eq!(log.lines().count(), 3, "{log}");
+        let begin = "t=1.000us h3 nic.chan/retx_episode begin 0x30000000001 [first]";
+        assert!(log.contains(begin), "{log}");
+        assert!(log.contains("t=4.000us h3 end 0x30000000001"), "{log}");
     }
 
     #[test]

@@ -151,9 +151,7 @@ fn seeded_campaign_recovers_clean() {
     assert!(nic("retransmits") > 0, "drops must provoke retransmissions");
     let failovers = nic("failovers");
     assert!(failovers > 0, "a flapped trunk with idle alternates must fail over");
-    assert_eq!(
-        c.auditor().counters().failovers,
-        failovers,
-        "auditor and NIC stats must agree on failovers"
-    );
+    let log = c.telemetry().span_log();
+    let logged = log.lines().filter(|l| l.contains(" nic.fw/failover ")).count() as u64;
+    assert_eq!(logged, failovers, "span log and NIC stats must agree on failovers");
 }

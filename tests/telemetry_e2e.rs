@@ -178,6 +178,49 @@ fn telemetry_does_not_perturb_protocol() {
     assert_eq!(detached, run(true), "telemetry hooks changed protocol behavior");
 }
 
+/// Every counted transition is logged exactly once: in a bulk thrash run
+/// (staged 8 KB receives NACKed at the SBUS, remaps, faults) each counter
+/// summed over hosts equals the number of its instants in the folded span
+/// log, because both are fed by the same probe call.
+#[test]
+fn every_counted_transition_has_exactly_one_instant() {
+    let mut cs = CsConfig::bulk(12, CsMode::St, 8);
+    cs.warmup = SimDuration::from_millis(20);
+    cs.measure = SimDuration::from_millis(200);
+    cs.telemetry = true;
+    let (_, c) = run_client_server_cluster(&cs);
+    let snap = c.telemetry().snapshot();
+    let log = c.telemetry().span_log();
+    let summed = |metric: &str| -> u64 {
+        let suffix = format!(".{metric}");
+        snap.entries()
+            .iter()
+            .filter(|(n, _)| n.starts_with("host") && n.ends_with(&suffix))
+            .map(|(n, _)| snap.counter(n))
+            .sum()
+    };
+    let instants = |track: &str, name: &str| -> u64 {
+        let mark = format!(" {track}/{name} instant");
+        log.lines().filter(|l| l.contains(&mark)).count() as u64
+    };
+    let pairs = [
+        ("nic.nacks_tx", "nic.fw", "nack_tx"),
+        ("nic.unbinds", "nic.fw", "unbind"),
+        ("nic.failovers", "nic.fw", "failover"),
+        ("nic.returned_to_sender", "nic.fw", "bounce"),
+        ("os.write_faults", "os.seg", "write_fault"),
+        ("os.proxy_faults", "os.seg", "proxy_fault"),
+        ("os.page_outs", "os.seg", "page_out"),
+    ];
+    for (metric, track, name) in pairs {
+        assert_eq!(summed(metric), instants(track, name), "{metric} vs {track}/{name} instants");
+    }
+    for metric in ["nic.nacks_tx", "os.write_faults", "os.proxy_faults"] {
+        assert!(summed(metric) > 0, "the bulk thrash run must exercise {metric}");
+    }
+    assert_eq!(snap.counter("telemetry.dropped_spans"), 0, "the log must hold the whole run");
+}
+
 /// Span-log overflow surfaces in the unified snapshot as
 /// `telemetry.dropped_spans` instead of vanishing silently, and the log
 /// never outgrows its cap.
