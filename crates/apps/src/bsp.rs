@@ -75,6 +75,11 @@ enum Phase {
     Done,
 }
 
+/// Consecutive empty polls before blocking on the event mask
+/// (spin-block; ~2 RTTs of spinning is the implicit co-scheduling sweet
+/// spot).
+const SPIN_POLLS: u32 = 12;
+
 /// Drives one rank of a [`BspApp`] over an endpoint.
 pub struct BspRunner<A: BspApp> {
     /// The application (public for post-run result extraction).
@@ -91,10 +96,6 @@ pub struct BspRunner<A: BspApp> {
     recv_counts: HashMap<u64, u32>,
     pending_replies: Vec<DeliveredMsg>,
     idle_polls: u32,
-    /// Consecutive empty polls before blocking on the event mask
-    /// (spin-block; ~2 RTTs of spinning is the implicit co-scheduling
-    /// sweet spot).
-    spin_polls: u32,
     /// Diagnostic: the most recent send refusal.
     pub last_send_err: Option<(u64, &'static str)>,
     /// The last send attempt failed for NI queue space (not credits):
@@ -118,37 +119,14 @@ impl<A: BspApp> BspRunner<A> {
             recv_counts: HashMap::new(),
             pending_replies: Vec::new(),
             idle_polls: 0,
-            spin_polls: 12,
             last_send_err: None,
             queue_blocked: false,
         }
     }
 
-    /// Override the spin-block threshold (0 = block immediately).
-    pub fn with_spin_polls(mut self, n: u32) -> Self {
-        self.spin_polls = n;
-        self
-    }
-
     /// Whether the rank has completed all supersteps.
     pub fn is_done(&self) -> bool {
         matches!(self.phase, Phase::Done)
-    }
-
-    /// Diagnostic: replies stashed under backpressure.
-    pub fn pending_reply_count(&self) -> usize {
-        self.pending_replies.len()
-    }
-
-    /// Diagnostic: progress within the current superstep:
-    /// `(step index, sends issued, sends total, receives counted)`.
-    pub fn progress(&self) -> (u64, usize, usize, u32) {
-        (
-            self.step_idx,
-            self.send_pos,
-            self.cur.sends.len(),
-            self.recv_counts.get(&self.step_idx).copied().unwrap_or(0),
-        )
     }
 
     fn drain(&mut self, sys: &mut Sys<'_>) {
@@ -278,7 +256,7 @@ impl<A: BspApp> BspRunner<A> {
                     // signalled by an arrival, so sleeping would deadlock
                     // (a credit stall, by contrast, ends with a reply).
                     self.idle_polls += 1;
-                    if self.idle_polls <= self.spin_polls
+                    if self.idle_polls <= SPIN_POLLS
                         || !self.pending_replies.is_empty()
                         || self.queue_blocked
                     {

@@ -187,7 +187,6 @@ fn main() {
             "retransmits",
             "seed",
             "shards",
-            "driver",
         ],
     );
     for (name, spec) in scenarios() {

@@ -40,8 +40,9 @@
 //! not faster than sequential.
 //!
 //! Scaling rows are only measured where `shards_requested ≤ cores`: with
-//! more worker threads than cores the sweep would time barrier
-//! oversubscription, not the executor, and committing such rows as
+//! more shards than cores the executor steps them in groups on shared
+//! cores, so the sweep would time core sharing, not scaling, and
+//! committing such rows as
 //! "scaling" numbers is how this benchmark once published 0.7x
 //! "speedups" from a 1-core container. Shard counts beyond the core
 //! count are emitted as explicit skip records instead, and the `--check`
@@ -388,8 +389,8 @@ fn bench_scaling(
     for &s in counts {
         if s as usize > cores {
             eprintln!(
-                "  [{name} shards={s}] SKIPPED: {s} worker shards on {cores} core(s) would \
-                 measure thread oversubscription, not scaling"
+                "  [{name} shards={s}] SKIPPED: {s} shards on {cores} core(s) are stepped in \
+                 groups; that is not a scaling measurement"
             );
             skipped.push(s);
             continue;
@@ -588,7 +589,7 @@ impl Report {
                 .iter()
                 .map(|s| {
                     format!(
-                        "        {{ \"shards_requested\": {s}, \"reason\": \"{s} shards > {cores} core(s): row would measure oversubscription, not scaling\" }}"
+                        "        {{ \"shards_requested\": {s}, \"reason\": \"{s} shards > {cores} core(s): stepped in groups, not a scaling measurement\" }}"
                     )
                 })
                 .collect::<Vec<_>>()

@@ -316,7 +316,8 @@ fn run_row_child(exe: &std::path::Path, hosts: u32, fidelity: &str, shards: u32,
     }
 }
 
-/// A sweep point refused because it would oversubscribe the machine.
+/// A sweep point refused because it has more shards than the machine has
+/// cores.
 struct Skip {
     hosts: u32,
     fidelity: &'static str,
@@ -331,8 +332,8 @@ fn report_json(quick: bool, cores: usize, rows: &[Row], skips: &[Skip], gate: Op
         .map(|s| {
             format!(
                 "    {{ \"hosts\": {}, \"fidelity\": \"{}\", \"shards_requested\": {}, \
-                 \"reason\": \"{} shards > {cores} core(s): row would measure \
-                 oversubscription\" }}",
+                 \"reason\": \"{} shards > {cores} core(s): stepped in groups, \
+                 not a scaling measurement\" }}",
                 s.hosts, s.fidelity, s.shards, s.shards
             )
         })

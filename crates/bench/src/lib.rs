@@ -131,28 +131,11 @@ pub fn init_shards_env() {
     }
 }
 
-/// The epoch-driver name in effect for parallel runs, mirroring the
-/// `VNET_PAR_DRIVER` resolution in `vnet_sim::parallel` (`threads` or
-/// `serial`; the auto default picks `serial` only on single-core
-/// machines). Benches record this in their CSV rows alongside the seed
-/// and shard count so any row can be reproduced exactly.
-pub fn par_driver() -> String {
-    match std::env::var("VNET_PAR_DRIVER").as_deref() {
-        Ok("threads") => "threads".to_string(),
-        Ok("serial") => "serial".to_string(),
-        _ => {
-            let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-            if cores == 1 { "serial".to_string() } else { "threads".to_string() }
-        }
-    }
-}
-
-/// The three reproducibility cells every campaign-style bench appends to
-/// its rows: `seed` (hex), resolved `shards`, and the epoch `driver`.
-/// Pair with a `repro_header()`-style `["seed", "shards", "driver"]`
-/// suffix in the table header.
+/// The two reproducibility cells every campaign-style bench appends to
+/// its rows: `seed` (hex) and resolved `shards`. Pair with a
+/// `["seed", "shards"]` suffix in the table header.
 pub fn repro_cells(seed: u64, shards: u32) -> Vec<String> {
-    vec![format!("{seed:#x}"), shards.to_string(), par_driver()]
+    vec![format!("{seed:#x}"), shards.to_string()]
 }
 
 /// The fidelity spec passed via `--fidelity <spec>`, if any. The spec

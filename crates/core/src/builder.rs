@@ -13,18 +13,15 @@
 //! assert!(cluster.telemetry().enabled());
 //! ```
 //!
-//! `Cluster::new(cfg)` remains for callers that already hold a
-//! [`ClusterConfig`]; the builder is sugar over the same presets
-//! ([`ClusterConfig::now`] / [`ClusterConfig::gam`]) plus the common
-//! overrides, with [`ClusterBuilder::tweak`] as the escape hatch for
-//! everything else.
+//! `Cluster::new(cfg)` takes any [`ClusterConfig`], so it is also the way
+//! to set what the builder does not cover; the builder is sugar over the
+//! same presets ([`ClusterConfig::now`] / [`ClusterConfig::gam`]) plus
+//! the common overrides.
 
 use crate::cluster::Cluster;
 use crate::config::ClusterConfig;
 use crate::model::{Fidelity, FidelityMap};
 use vnet_net::{FaultScheduleSpec, TopologySpec};
-
-type ConfigTweak = Box<dyn FnOnce(&mut ClusterConfig)>;
 
 /// Fluent builder for a [`Cluster`]; see the module docs.
 pub struct ClusterBuilder {
@@ -41,7 +38,6 @@ pub struct ClusterBuilder {
     shards: Option<u32>,
     fidelity: Option<FidelityMap>,
     faults: Option<FaultScheduleSpec>,
-    tweaks: Vec<ConfigTweak>,
 }
 
 impl Default for ClusterBuilder {
@@ -67,7 +63,6 @@ impl ClusterBuilder {
             shards: None,
             fidelity: None,
             faults: None,
-            tweaks: Vec::new(),
         }
     }
 
@@ -176,13 +171,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Escape hatch: arbitrary configuration surgery, applied after every
-    /// other builder option, in registration order.
-    pub fn tweak(mut self, f: impl FnOnce(&mut ClusterConfig) + 'static) -> Self {
-        self.tweaks.push(Box::new(f));
-        self
-    }
-
     /// Resolve the configuration this builder describes.
     pub fn config(&self) -> ClusterConfig {
         let mut cfg =
@@ -225,11 +213,7 @@ impl ClusterBuilder {
 
     /// Build the cluster.
     pub fn build(self) -> Cluster {
-        let mut cfg = self.config();
-        for t in self.tweaks {
-            t(&mut cfg);
-        }
-        Cluster::new(cfg)
+        Cluster::new(self.config())
     }
 }
 
@@ -263,12 +247,8 @@ mod tests {
     }
 
     #[test]
-    fn builder_gam_and_tweak() {
-        let c = Cluster::builder()
-            .gam()
-            .hosts(2)
-            .tweak(|cfg| cfg.net.link_mb_s = 320.0)
-            .build();
+    fn builder_gam_preset() {
+        let c = Cluster::builder().gam().hosts(2).build();
         assert_eq!(c.world_of(HostId(0)).cfg.mode, Mode::Gam);
         assert!(!c.telemetry().enabled());
     }

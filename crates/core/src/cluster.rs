@@ -92,6 +92,10 @@ pub struct Cluster {
     /// Per-shard-pair lookahead derived from the partition (sliced by
     /// fault-campaign interval).
     look: PairLookahead,
+    /// Executor worker threads: this machine's core count, read on the
+    /// first run with more than one shard (see [`Cluster::run_to`]).
+    /// Shards beyond it are stepped in groups; results never depend on it.
+    workers: Option<usize>,
     /// The cluster's one protection-key stream: keys are drawn in endpoint
     /// creation order across all hosts, so they never depend on the shard
     /// count.
@@ -143,6 +147,7 @@ impl Cluster {
             shards,
             part,
             look,
+            workers: None,
             key_rng,
             names: NameService::new(),
             debug_audit: Cell::new(true),
@@ -460,7 +465,7 @@ impl Cluster {
     /// Fold every abstract host's served-request latency histogram into
     /// one cluster-wide [`LogHistogram`] (arrival at the source → `o_r`
     /// cleared at the server). Host-order accumulation of a commutative
-    /// merge: byte-identical for any shard count or epoch driver.
+    /// merge: byte-identical for any shard or core count.
     pub fn open_loop_latency(&self) -> LogHistogram {
         let mut all = LogHistogram::default();
         for slot in self.slots() {
@@ -612,11 +617,24 @@ impl Cluster {
     }
 
     /// Advance every shard to `deadline` under the conservative epoch
-    /// protocol (scoped worker threads, or none at all for one shard);
-    /// returns the number of events processed. Results are byte-identical
-    /// for any shard count.
+    /// protocol (scoped worker threads, or none at all for one shard or
+    /// one core); returns the number of events processed. Results are
+    /// byte-identical for any shard count.
     fn run_to(&mut self, deadline: SimTime) -> u64 {
         let before = self.events_processed();
+        // One shard needs one worker. A sharded cluster reads the core
+        // count once, here rather than in `Cluster::new`: the call reads
+        // cgroup files, which costs as much as building a small cluster,
+        // and its allocations, made while a 16k-host fleet was being
+        // built, slowed that fleet's runs by 10–15% on a 2-core x86-64
+        // machine.
+        let workers = if self.shards.len() > 1 {
+            *self
+                .workers
+                .get_or_insert_with(|| std::thread::available_parallelism().map_or(1, |c| c.get()))
+        } else {
+            1
+        };
         let part = &self.part;
         let mut runs: Vec<SendCell<ShardRun<'_>>> = self
             .shards
@@ -631,18 +649,8 @@ impl Cluster {
                 unsafe { SendCell::new(ShardRun { shard, part }) }
             })
             .collect();
-        run_conservative(&mut runs, &self.look, deadline);
+        run_conservative(&mut runs, &self.look, deadline, workers);
         drop(runs);
-        // The executor's final-epoch elision may leave cross-shard mail in
-        // shard outboxes — all of it timestamped past the deadline,
-        // destined for the next run. Relay it into the owning engines
-        // (keyed, so order is canonical).
-        for s in 0..self.shards.len() {
-            for (at, key, corrupt, pkt) in std::mem::take(&mut self.shards[s].world.outbox) {
-                debug_assert!(at > deadline, "undelivered mail within the deadline");
-                self.sched_keyed_at(at, key, Event::Ingress { host: pkt.dst.0, corrupt, pkt });
-            }
-        }
         self.events_processed() - before
     }
 
@@ -705,9 +713,6 @@ impl Cluster {
                             ),
                         }
                     }
-                }
-                OsOut::Wake(tid) => {
-                    self.sched_ev(SimDuration::ZERO, Event::WakeThread { host: gh, tid });
                 }
                 OsOut::After(d, ev) => {
                     self.sched_ev(d, Event::Os { host: gh, ev });

@@ -234,15 +234,6 @@ impl FabricSlot {
         }
     }
 
-    /// The full fabric, when that is what is registered (tests and
-    /// benchmarks that inspect link reservation state).
-    pub fn as_full(&self) -> Option<&Fabric> {
-        match self {
-            FabricSlot::Full(f) => Some(f),
-            FabricSlot::Delay(_) => None,
-        }
-    }
-
     /// The topology in use.
     pub fn topology(&self) -> &Topology {
         match self {

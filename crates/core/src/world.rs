@@ -289,11 +289,6 @@ impl FullHost {
                     self.nic.driver_request(ctx.now(), op, &mut nic_outs);
                     self.apply_nic(gh, nic_outs, env, ctx);
                 }
-                OsOut::Wake(tid) => {
-                    if self.sched.wake(tid) {
-                        self.kick_cpu(gh, ctx);
-                    }
-                }
                 OsOut::After(d, ev) => {
                     ctx.schedule(d, Event::Os { host: gh, ev });
                 }
@@ -787,15 +782,6 @@ impl World {
     /// The thread scheduler of host `h` (panics on an abstract host).
     pub fn sched(&self, h: usize) -> &Scheduler {
         &self.full(h).sched
-    }
-
-    /// User-level endpoint state on host `h` (None when the endpoint does
-    /// not exist or the host is abstract).
-    pub fn user_state(&self, h: usize, ep: EpId) -> Option<&UserEpState> {
-        match self.slot(h) {
-            HostSlot::Full(f) => f.user.get(&ep),
-            HostSlot::Abstract(_) => None,
-        }
     }
 
     /// User-level endpoint state on host `h`, created if absent (panics

@@ -218,11 +218,6 @@ impl FaultPlan {
         self.ge = Some(GeModel { params, root: self.root.derive(GE_ROOT_TAG), chains: HashMap::new() });
     }
 
-    /// Whether a bursty error model is installed.
-    pub fn has_bursty(&self) -> bool {
-        self.ge.is_some()
-    }
-
     /// Take a link down (hot-swap start). Packets routed over it are lost.
     /// Down states are refcounted: each `link_down` needs one `link_up`.
     pub fn link_down(&mut self, l: LinkId) {

@@ -1722,61 +1722,9 @@ impl Nic {
 }
 
 impl Nic {
-    /// One-line diagnostic dump of the firmware state (send queues,
-    /// channels, scheduling horizon) for debugging stalls.
-    pub fn diagnostic_summary(&self, now: SimTime) -> String {
-        let mut sendq = Vec::new();
-        for slot in &self.frames {
-            if let Some(ep) = slot.occupant() {
-                if let Some(img) = slot.image() {
-                    sendq.push(format!(
-                        "{ep}:q{}nb{:?}",
-                        img.send_q.len(),
-                        img.head_not_before().map(|t| t.as_micros_f64())
-                    ));
-                }
-            }
-        }
-        let busy_ch = self
-            .tx
-            .iter()
-            .filter(|(_, c)| !c.is_free())
-            .map(|(k, c)| {
-                format!(
-                    "{}#{}:{:?}r{}",
-                    k.peer,
-                    k.idx,
-                    c.in_flight.as_ref().map(|i| i.uid),
-                    c.reserved
-                )
-            })
-            .collect::<Vec<_>>();
-        format!(
-            "now={} fw_busy_until={} sched_at={:?} gen={} inbox={} sendq=[{}] busy_ch=[{}] staging_out={} in_flight={:?}",
-            now,
-            self.fw_busy_until,
-            if self.fw_scheduled_at == SimTime::MAX {
-                None
-            } else {
-                Some(self.fw_scheduled_at.as_micros_f64())
-            },
-            self.fw_step_gen,
-            self.inbox.len(),
-            sendq.join(","),
-            busy_ch.join(","),
-            self.staging_out.len(),
-            self.in_flight_per_ep,
-        )
-    }
-
     /// Number of endpoints currently bound to frames (any phase).
     pub fn resident_count(&self) -> usize {
         self.ep_frame.len()
-    }
-
-    /// Number of free frames.
-    pub fn free_frames(&self) -> usize {
-        self.frames.iter().filter(|s| matches!(s, FrameSlot::Free)).count()
     }
 
     /// Number of bulk sends currently staging host→NI over the SBUS.

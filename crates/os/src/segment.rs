@@ -6,7 +6,6 @@
 //! into thread wakeups.
 
 use crate::config::OsConfig;
-use crate::sched::Tid;
 use crate::stats::OsStats;
 use std::collections::{HashMap, HashSet, VecDeque};
 use vnet_nic::{DriverMsg, DriverOp, EndpointImage, EpId, ProtectionKey};
@@ -44,8 +43,6 @@ pub enum EpState {
 pub enum OsOut {
     /// Send a driver-protocol operation to the local NIC.
     Nic(DriverOp),
-    /// Wake a thread (endpoint event or residency transition).
-    Wake(Tid),
     /// Schedule an OS event after a delay.
     After(SimDuration, OsEvent),
 }

@@ -38,7 +38,6 @@ impl MockPipeline {
         for o in outs {
             match o {
                 OsOut::After(d, ev) => self.timers.push_back((self.now + d, ev)),
-                OsOut::Wake(_) => {}
                 OsOut::Nic(op) => match op {
                     DriverOp::Load { ep, clock, .. } => {
                         self.loaded.insert(ep);

@@ -2,7 +2,8 @@
 //!
 //! This module runs N *shards* — each a self-contained single-threaded
 //! simulation with its own [`TimingWheel`](crate::wheel::TimingWheel) —
-//! on `std::thread::scope` workers, synchronized in epochs bounded by a
+//! on `std::thread::scope` workers, each stepping a contiguous group of
+//! shards, synchronized in epochs bounded by a
 //! **per-shard-pair lookahead** [`PairLookahead`]: `L(j, i)` is the
 //! minimum simulated latency before an action shard `j` takes can be
 //! observed by shard `i`. For the vnet stack that is the minimum
@@ -12,13 +13,14 @@
 //!
 //! ## Epoch protocol
 //!
-//! Each epoch: (1) every worker publishes its wheel's next-event bound
-//! plus, per destination, the earliest delivery time of the cross-shard
-//! mail it generated last epoch; (2) one spin barrier; (3) every worker
-//! computes the same *effective bound* vector `Ḃ` — shard `i`'s wheel
-//! bound folded with the in-flight mail addressed to `i` (the mail is
-//! ingested this epoch, so it is accounted to its receiver) — then runs
-//! to its own horizon
+//! Each epoch: (1) every worker publishes, for each shard of its group,
+//! the wheel's next-event bound plus, per destination, the earliest
+//! delivery time of the cross-shard mail the shard generated last epoch;
+//! (2) one spin barrier; (3) every worker computes the same *effective
+//! bound* vector `Ḃ` — shard `i`'s wheel bound folded with the in-flight
+//! mail addressed to `i` (the mail is ingested this epoch, so it is
+//! accounted to its receiver) — ingests its shards' mail, then runs each
+//! of its shards to that shard's own horizon
 //!
 //! ```text
 //! E_i = min_j (Ḃ_j + D(j, i)) − 1
@@ -41,16 +43,29 @@
 //! ## Barrier elision
 //!
 //! Two epochs' worth of barrier crossings are removed outright. Mail
-//! scans are batched behind a per-epoch publication bitmap: a worker
-//! that published no mail never forces the other `n − 1` workers to
-//! touch its `n` mailbox slots. And the final epoch of a finite-deadline
-//! run is detected *inside* the epoch — when every shard's horizon
-//! already reaches the deadline (a fact each worker computes from the
-//! same published bounds) the workers run their last window and exit
-//! without re-publishing, re-barriering, or re-checking. Mail generated
-//! in that last window is provably timestamped past the deadline; it is
-//! left in each shard's outbox for the caller to relay (see
-//! [`run_conservative`]'s contract).
+//! scans are batched behind a per-epoch publication bitmap: a shard
+//! that published no mail never forces the other shards to touch its
+//! `n` mailbox slots. And the final epoch of a finite-deadline run is
+//! detected *inside* the epoch — when every shard's horizon already
+//! reaches the deadline (a fact each worker computes from the same
+//! published bounds) the workers run their last window and exit without
+//! re-publishing, re-barriering, or re-checking. Mail generated in that
+//! last window is provably timestamped past the deadline; once the
+//! workers have joined, [`run_conservative`] drains it from the shard
+//! outboxes and delivers it itself, so every run returns with no mail in
+//! flight.
+//!
+//! ## Worker groups
+//!
+//! The shards are stepped by at most `workers` threads (the caller's
+//! core count), each owning a contiguous group of `⌈n / workers⌉`
+//! shards that it steps in shard order every epoch; the last group runs
+//! on the calling thread. One worker is the whole protocol on one thread
+//! with no thread spawned; a worker per shard is a thread per shard; and
+//! more shards than cores never puts more spinners on the barrier than
+//! there are cores to run them. Mail between two shards of one group
+//! goes through the same mailbox slots as mail between groups, so the
+//! epoch schedule — and every result — is independent of the grouping.
 //!
 //! ## Determinism
 //!
@@ -245,7 +260,9 @@ fn closure(n: usize, edges: Vec<u64>) -> Vec<u64> {
 ///
 /// Implementations are single-threaded simulations; the executor moves
 /// each shard to a worker thread for the duration of a run and calls
-/// these hooks strictly from that worker, separated by barriers.
+/// these hooks strictly from that worker, separated by barriers, then
+/// from the calling thread once every worker has joined (to deliver the
+/// final epoch's leftover mail).
 pub trait ParShard {
     /// A cross-shard message. Sent by value between workers, so it must
     /// be genuinely `Send` (share only atomically counted, frozen data).
@@ -314,8 +331,8 @@ impl<T> SendCell<T> {
 /// Busy-spin iterations before a waiter starts yielding its timeslice.
 /// Epochs are often shorter than a mutex park/unpark (tens of µs), so a
 /// short spin wins when every worker has a core; past the limit the
-/// waiter must assume it is oversubscribed (shards > cores, or a peer
-/// got descheduled) and `yield_now` so the peer can actually run —
+/// waiter must assume a peer got descheduled (a shared machine, or more
+/// workers than cores) and `yield_now` so the peer can actually run —
 /// unbounded spinning there collapses throughput to the scheduler tick.
 const SPIN_LIMIT: u32 = 64;
 
@@ -353,11 +370,11 @@ impl SpinBarrier {
     }
 }
 
-/// Double-buffered per-epoch publication slots. All writes happen before
-/// the epoch barrier and all reads after it (one parity apart for the
-/// mail a worker is still draining), which is exactly the discipline
-/// that makes the `UnsafeCell` sound; see the module docs for the lag
-/// argument.
+/// Double-buffered per-epoch publication slots, indexed by shard (not by
+/// worker). All writes happen before the epoch barrier and all reads
+/// after it (one parity apart for the mail a worker is still draining),
+/// which is exactly the discipline that makes the `UnsafeCell` sound;
+/// see the module docs for the lag argument.
 struct Mailboxes<M> {
     n: usize,
     /// `[parity][src * n + dst]` — mail published by `src` for `dst`.
@@ -371,9 +388,9 @@ struct Mailboxes<M> {
     /// `src` published for `dst` this epoch (`u64::MAX` if none).
     mail_min: [Vec<AtomicU64>; 2],
     /// `[parity]` — bit `src` set iff `src` published any mail this
-    /// epoch. Readers skip the whole slot scan when their senders' bits
-    /// are clear, so quiet epochs touch one shared word instead of
-    /// `n − 1` slot vectors.
+    /// epoch (only the worker stepping `src` flips it). Readers skip the
+    /// whole slot scan when their senders' bits are clear, so quiet
+    /// epochs touch one shared word instead of `n − 1` slot vectors.
     mail_bits: [AtomicU64; 2],
 }
 
@@ -396,70 +413,19 @@ impl<M> Mailboxes<M> {
 
 /// Run `shards` to `deadline` (or to quiescence when `deadline` is
 /// [`SimTime::MAX`]) under conservative epoch synchronization with the
-/// given per-pair `lookahead`. Returns the final simulated time:
-/// `deadline` when finite, otherwise the timestamp of the last event
-/// processed anywhere. Every shard's clock is synchronized to that time
-/// on return.
-///
-/// **Leftover-mail contract:** a finite-deadline run may end through the
-/// final-epoch elision, in which case cross-shard mail generated in the
-/// last window — all of it provably timestamped *after* the deadline —
-/// is still sitting in shard outboxes. The caller must drain each
-/// shard's outbox after the run and re-inject the mail (keyed) before
-/// the next run; delivery order is fixed by `(time, key)`, so relaying
-/// on one thread preserves byte-identical results.
-///
-/// With a single shard no threads are spawned and no barriers run; the
-/// loop degenerates to plain sequential execution of that shard. With no
-/// real parallelism available (one hardware core), the same epoch
-/// protocol runs cooperatively on the calling thread — threads that can
-/// never overlap would only add barrier context-switch thrash, and the
-/// epoch schedule (hence the results, which are deterministic either
-/// way) is identical.
+/// given per-pair `lookahead`, on at most `workers` threads counting the
+/// calling one (see the module docs' worker groups). Returns the final
+/// simulated time: `deadline` when finite, otherwise the timestamp of
+/// the last event processed anywhere. On return every shard's clock is
+/// synchronized to that time and every shard outbox is empty: mail the
+/// final epoch left there (all of it stamped past the deadline) has been
+/// ingested by its destination shard. Delivery order is fixed by
+/// `(time, key)`, so relaying it on one thread is exact.
 pub fn run_conservative<S: ParShard>(
     shards: &mut [SendCell<S>],
     lookahead: &PairLookahead,
     deadline: SimTime,
-) -> SimTime {
-    // `VNET_PAR_DRIVER=threads|serial` pins the driver (results are
-    // byte-identical either way — this exists so tests and CI can cover
-    // the threaded protocol even on single-core machines and vice versa).
-    let driver = match std::env::var("VNET_PAR_DRIVER").as_deref() {
-        Ok("threads") => Driver::Threads,
-        Ok("serial") => Driver::Serial,
-        _ => {
-            let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-            if cores == 1 {
-                Driver::Serial
-            } else {
-                Driver::Threads
-            }
-        }
-    };
-    run_conservative_with(shards, lookahead, deadline, driver)
-}
-
-/// How [`run_conservative_with`] steps the epochs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Driver {
-    /// One scoped worker thread per shard, spin barriers between epochs.
-    Threads,
-    /// Every shard stepped in turn on the calling thread — what
-    /// [`run_conservative`] picks when only one hardware core is
-    /// available and threads could never overlap anyway.
-    Serial,
-}
-
-/// [`run_conservative`] with an explicit [`Driver`] instead of the
-/// core-count heuristic. Results are byte-identical across drivers (the
-/// epoch schedule is the same and keyed scheduling makes ingestion order
-/// irrelevant); tests use this to cover the threaded protocol even on
-/// single-core machines.
-pub fn run_conservative_with<S: ParShard>(
-    shards: &mut [SendCell<S>],
-    lookahead: &PairLookahead,
-    deadline: SimTime,
-    driver: Driver,
+    workers: usize,
 ) -> SimTime {
     let n = shards.len();
     assert!(n > 0, "no shards");
@@ -467,29 +433,35 @@ pub fn run_conservative_with<S: ParShard>(
     assert_eq!(lookahead.shards(), n, "lookahead planned for a different shard count");
     let entry_now = shards.iter().map(|c| c.get().now()).max().unwrap();
 
-    if n > 1 && driver == Driver::Serial {
-        serial_loop(shards, lookahead, deadline);
-    } else {
-        let boxes: Mailboxes<S::Mail> = Mailboxes::new(n);
-        let barrier = SpinBarrier::new(n);
-        std::thread::scope(|scope| {
-            let boxes = &boxes;
-            let barrier = &barrier;
-            let mut workers = Vec::new();
-            for (i, cell) in shards.iter_mut().enumerate() {
-                let mut work = move || worker_loop(i, cell, boxes, barrier, lookahead, deadline);
-                if i == n - 1 {
-                    // Run the last shard on the calling thread; with n == 1
-                    // this makes the parallel path thread-free.
-                    work();
-                } else {
-                    workers.push(scope.spawn(work));
-                }
-            }
-            for w in workers {
-                w.join().expect("shard worker panicked");
-            }
-        });
+    let per = n.div_ceil(workers.clamp(1, n));
+    let boxes: Mailboxes<S::Mail> = Mailboxes::new(n);
+    let barrier = SpinBarrier::new(n.div_ceil(per));
+    std::thread::scope(|scope| {
+        let (boxes, barrier) = (&boxes, &barrier);
+        let mut groups = shards.chunks_mut(per).enumerate();
+        // The last group runs on the calling thread; with one group this
+        // makes the whole run thread-free.
+        let (last, own) = groups.next_back().expect("no shards");
+        let spawned: Vec<_> = groups
+            .map(|(g, cells)| {
+                scope.spawn(move || {
+                    worker_loop(g * per, cells, boxes, barrier, lookahead, deadline)
+                })
+            })
+            .collect();
+        worker_loop(last * per, own, boxes, barrier, lookahead, deadline);
+        for w in spawned {
+            w.join().expect("shard worker panicked");
+        }
+    });
+
+    let mut leftover = Vec::new();
+    for c in shards.iter_mut() {
+        c.get_mut().drain_outbox(&mut leftover);
+    }
+    for (dst, at, mail) in leftover {
+        debug_assert!(at > deadline, "undelivered mail within the deadline");
+        shards[dst].get_mut().ingest(at, mail);
     }
 
     let final_now = if deadline != SimTime::MAX {
@@ -513,56 +485,64 @@ pub fn run_conservative_with<S: ParShard>(
     final_now
 }
 
+/// One worker's epoch loop over its group `cells`, the shards
+/// `base..base + cells.len()`, each stepped in shard order.
 fn worker_loop<S: ParShard>(
-    me: usize,
-    cell: &mut SendCell<S>,
+    base: usize,
+    cells: &mut [SendCell<S>],
     boxes: &Mailboxes<S::Mail>,
     barrier: &SpinBarrier,
     look: &PairLookahead,
     deadline: SimTime,
 ) {
-    let shard = cell.get_mut();
     let n = boxes.n;
     let deadline_ns = deadline.as_nanos();
+    let mine = base..base + cells.len();
     let mut local_sense = false;
-    let mut outbox: Vec<(usize, SimTime, S::Mail)> = Vec::new();
+    // Per shard of the group: the mail its last window generated.
+    let mut outboxes: Vec<Vec<(usize, SimTime, S::Mail)>> =
+        cells.iter().map(|_| Vec::new()).collect();
     let mut dst_min = vec![u64::MAX; n];
     let mut eff = vec![u64::MAX; n];
-    // Whether our publication bit is currently set, per parity, so the
-    // shared bitmap word is only touched on a state change.
-    let mut bit_set = [false; 2];
+    // Our shards' bits currently set in the shared bitmap, per parity, so
+    // the word is only touched on a state change.
+    let mut bits_set = [0u64; 2];
     let mut epoch: usize = 0;
     loop {
         let p = epoch % 2;
-        // Publish: the wheel bound, and the previous epoch's mail with
-        // its per-destination delivery minima. In-flight mail counts
-        // toward its *receiver's* effective bound — it is delivered (and
-        // ingested) this very epoch, so accounting it there is exact and
-        // lets the per-pair horizon argument go through.
-        let wheel = shard.next_at_bound().map_or(u64::MAX, |t| t.as_nanos());
-        dst_min.iter_mut().for_each(|m| *m = u64::MAX);
-        let any_mail = !outbox.is_empty();
-        for (dst, at, mail) in outbox.drain(..) {
-            debug_assert!(dst < n && dst != me, "bad mail routing");
-            dst_min[dst] = dst_min[dst].min(at.as_nanos());
-            // SAFETY: slot (p, me, dst) is written only by `me` before
-            // barrier `epoch` and read only by `dst` after it.
-            unsafe { (*boxes.slots[p][me * n + dst].get()).push((at, mail)) };
-        }
-        boxes.wheel[p][me].store(wheel, Ordering::Relaxed);
-        for (dst, &m) in dst_min.iter().enumerate() {
-            if dst != me {
-                boxes.mail_min[p][me * n + dst].store(m, Ordering::Relaxed);
+        // Publish, per shard: the wheel bound, and the previous epoch's
+        // mail with its per-destination delivery minima. In-flight mail
+        // counts toward its *receiver's* effective bound — it is
+        // delivered (and ingested) this very epoch, so accounting it
+        // there is exact and lets the per-pair horizon argument go
+        // through.
+        let mut bits = 0u64;
+        for ((me, cell), outbox) in mine.clone().zip(cells.iter()).zip(&mut outboxes) {
+            let wheel = cell.get().next_at_bound().map_or(u64::MAX, |t| t.as_nanos());
+            dst_min.fill(u64::MAX);
+            if !outbox.is_empty() {
+                bits |= 1u64 << me;
+            }
+            for (dst, at, mail) in outbox.drain(..) {
+                debug_assert!(dst < n && dst != me, "bad mail routing");
+                dst_min[dst] = dst_min[dst].min(at.as_nanos());
+                // SAFETY: slot (p, me, dst) is written only by the worker
+                // stepping `me`, before barrier `epoch`, and read only by
+                // the worker stepping `dst`, after it.
+                unsafe { (*boxes.slots[p][me * n + dst].get()).push((at, mail)) };
+            }
+            boxes.wheel[p][me].store(wheel, Ordering::Relaxed);
+            for (dst, &m) in dst_min.iter().enumerate() {
+                if dst != me {
+                    boxes.mail_min[p][me * n + dst].store(m, Ordering::Relaxed);
+                }
             }
         }
-        if any_mail != bit_set[p] {
-            let bit = 1u64 << me;
-            if any_mail {
-                boxes.mail_bits[p].fetch_or(bit, Ordering::Relaxed);
-            } else {
-                boxes.mail_bits[p].fetch_and(!bit, Ordering::Relaxed);
-            }
-            bit_set[p] = any_mail;
+        // Only this worker flips its shards' bits, so XOR with the change
+        // sets exactly `bits`.
+        if bits != bits_set[p] {
+            boxes.mail_bits[p].fetch_xor(bits ^ bits_set[p], Ordering::Relaxed);
+            bits_set[p] = bits;
         }
 
         barrier.wait(&mut local_sense);
@@ -579,118 +559,59 @@ fn worker_loop<S: ParShard>(
             *e = b;
         }
         let global = eff.iter().copied().min().unwrap();
-        // Ingest mail addressed to us, scanning only senders that
+        // Ingest mail addressed to our shards, scanning only senders that
         // actually published. Arrival order across sources is
         // irrelevant: delivery order is fixed by the (time, key) pairs.
         let bits = boxes.mail_bits[p].load(Ordering::Relaxed);
         if bits != 0 {
-            for src in 0..n {
-                if src == me || bits & (1u64 << src) == 0 {
-                    continue;
-                }
-                // SAFETY: slot (p, src, me) was sealed at barrier `epoch`;
-                // `src` will not touch it again until barrier `epoch + 1`.
-                let slot = unsafe { &mut *boxes.slots[p][src * n + me].get() };
-                for (at, mail) in slot.drain(..) {
-                    shard.ingest(at, mail);
+            for (me, cell) in mine.clone().zip(cells.iter_mut()) {
+                for src in 0..n {
+                    if src == me || bits & (1u64 << src) == 0 {
+                        continue;
+                    }
+                    // SAFETY: slot (p, src, me) was sealed at barrier
+                    // `epoch`; `src`'s worker will not touch it again
+                    // until barrier `epoch + 1`.
+                    let slot = unsafe { &mut *boxes.slots[p][src * n + me].get() };
+                    for (at, mail) in slot.drain(..) {
+                        cell.get_mut().ingest(at, mail);
+                    }
                 }
             }
         }
 
         if global == u64::MAX || global > deadline_ns {
             // Nothing anywhere at or before the deadline (quiescence when
-            // the deadline is infinite). Align the clock and leave — every
-            // worker reaches this decision from the same data.
+            // the deadline is infinite). Align the clocks and leave —
+            // every worker reaches this decision from the same data.
             if deadline != SimTime::MAX {
-                shard.run_until(deadline);
+                cells.iter_mut().for_each(|c| c.get_mut().run_until(deadline));
             }
             return;
         }
-        let end_ns = look.horizon(&eff, me, deadline_ns);
-        if end_ns >= deadline_ns
-            && (0..n).all(|i| i == me || look.horizon(&eff, i, deadline_ns) >= deadline_ns)
-        {
+        if (0..n).all(|i| look.horizon(&eff, i, deadline_ns) >= deadline_ns) {
             // Final-epoch elision: every shard's horizon reaches the
-            // deadline, so after this window there is nothing left to
-            // exchange *before* it — each worker proves the same fact
-            // from the same bounds and exits without another barrier.
-            // Mail born in this window is stamped past the deadline (the
-            // horizon argument, applied at the deadline) and stays in
-            // the outbox for the caller to relay.
-            shard.run_until(deadline);
+            // deadline (never true for an infinite one: horizons stay
+            // below `u64::MAX`), so after this window there is nothing
+            // left to exchange *before* it — each worker proves the same
+            // fact from the same bounds and exits without another
+            // barrier. Mail born in this window is stamped past the
+            // deadline (the horizon argument, applied at the deadline)
+            // and stays in the shard outboxes for `run_conservative` to
+            // deliver.
+            cells.iter_mut().for_each(|c| c.get_mut().run_until(deadline));
             return;
         }
-        // Horizons are monotone in practice but the published bounds are
-        // only *lower* bounds; never ask the wheel to run backwards.
-        let end = SimTime::from_nanos(end_ns).max(shard.now());
-        shard.run_until(end);
-        shard.drain_outbox(&mut outbox);
-        epoch += 1;
-    }
-}
-
-/// The epoch protocol on one thread: every shard is stepped in turn each
-/// epoch, mail moves through plain per-destination queues, and there are
-/// no barriers or atomics. Epoch boundaries — the effective bounds, the
-/// per-shard horizons, the termination test, the final-epoch elision —
-/// are computed from exactly the same values as in [`worker_loop`], so
-/// the two drivers process the same events in the same epochs (and keyed
-/// scheduling makes results independent of ingestion order anyway).
-fn serial_loop<S: ParShard>(
-    shards: &mut [SendCell<S>],
-    look: &PairLookahead,
-    deadline: SimTime,
-) {
-    let n = shards.len();
-    let deadline_ns = deadline.as_nanos();
-    // Mail awaiting delivery, per destination shard.
-    let mut mail: Vec<Vec<(SimTime, S::Mail)>> = (0..n).map(|_| Vec::new()).collect();
-    let mut outbox: Vec<(usize, SimTime, S::Mail)> = Vec::new();
-    let mut eff = vec![u64::MAX; n];
-    loop {
-        // Effective bounds over wheels and in-flight mail, then deliver.
-        for (i, e) in eff.iter_mut().enumerate() {
-            let mut b = shards[i].get().next_at_bound().map_or(u64::MAX, |t| t.as_nanos());
-            for &(at, _) in &mail[i] {
-                b = b.min(at.as_nanos());
-            }
-            *e = b;
-        }
-        for (i, cell) in shards.iter_mut().enumerate() {
-            for (at, m) in mail[i].drain(..) {
-                cell.get_mut().ingest(at, m);
-            }
-        }
-        let global = eff.iter().copied().min().unwrap();
-        if global == u64::MAX || global > deadline_ns {
-            if deadline != SimTime::MAX {
-                for cell in shards.iter_mut() {
-                    cell.get_mut().run_until(deadline);
-                }
-            }
-            return;
-        }
-        let last = deadline != SimTime::MAX
-            && (0..n).all(|i| look.horizon(&eff, i, deadline_ns) >= deadline_ns);
-        for (i, cell) in shards.iter_mut().enumerate() {
+        for ((me, cell), outbox) in mine.clone().zip(cells.iter_mut()).zip(&mut outboxes) {
             let shard = cell.get_mut();
-            if last {
-                // Final-epoch elision (see worker_loop): leftover mail
-                // stays in the shard outbox for the caller to relay.
-                shard.run_until(deadline);
-                continue;
-            }
-            let end_ns = look.horizon(&eff, i, deadline_ns);
-            let end = SimTime::from_nanos(end_ns).max(shard.now());
+            // Horizons are monotone in practice but the published bounds
+            // are only *lower* bounds; never ask the wheel to run
+            // backwards.
+            let end = SimTime::from_nanos(look.horizon(&eff, me, deadline_ns)).max(shard.now());
             shard.run_until(end);
-            shard.drain_outbox(&mut outbox);
-            for (dst, at, m) in outbox.drain(..) {
-                mail[dst].push((at, m));
-            }
+            shard.drain_outbox(outbox);
         }
-        if last {
-            return;
-        }
+        epoch += 1;
     }
 }
 
@@ -773,12 +694,17 @@ mod tests {
         }
     }
 
+    /// Run a token ring of `total_hosts` hosts split over `n_shards`
+    /// shards on `workers` workers through each deadline of `legs` in
+    /// turn, and return the merged event log. Every run must leave every
+    /// shard outbox empty: the executor delivers the final epoch's
+    /// leftover mail itself.
     fn run_sharded(
         n_shards: u32,
         total_hosts: u32,
         hops: u64,
-        deadline: SimTime,
-        driver: Driver,
+        legs: &[SimTime],
+        workers: usize,
     ) -> Vec<(u64, u32, u64)> {
         let per = total_hosts / n_shards;
         let mut shards: Vec<SendCell<Shard>> = (0..n_shards)
@@ -806,36 +732,32 @@ mod tests {
             })
             .collect();
         let look = PairLookahead::uniform(n_shards as usize, SimDuration::from_nanos(LAT));
-        run_conservative_with(&mut shards, &look, deadline, driver);
-        let mut log: Vec<(u64, u32, u64)> = shards
-            .into_iter()
-            .flat_map(|c| {
-                let sh = c.into_inner();
-                // The final-epoch elision may leave cross-shard mail in
-                // the outbox (timestamped past the deadline); the real
-                // cluster relays it into the destination engines. The
-                // token test just asserts it is indeed past the deadline.
-                for &(_, at, _, _) in &sh.world.outbox {
-                    assert!(at > deadline, "undelivered mail within the deadline");
-                }
-                sh.world.log
-            })
-            .collect();
+        for &deadline in legs {
+            run_conservative(&mut shards, &look, deadline, workers);
+            for (s, c) in shards.iter().enumerate() {
+                assert!(
+                    c.get().world.outbox.is_empty(),
+                    "shard {s} of {n_shards} ({workers} workers) kept mail past {deadline:?}"
+                );
+            }
+        }
+        let mut log: Vec<(u64, u32, u64)> =
+            shards.into_iter().flat_map(|c| c.into_inner().world.log).collect();
         log.sort();
         log
     }
 
     #[test]
-    fn token_ring_matches_across_shard_counts_and_drivers() {
-        let want = run_sharded(1, 4, 37, SimTime::MAX, Driver::Threads);
+    fn token_ring_matches_across_shard_and_worker_counts() {
+        let want = run_sharded(1, 4, 37, &[SimTime::MAX], 1);
         assert_eq!(want.len(), 38);
         assert_eq!(want.last().unwrap().0, 1 + 37 * LAT);
-        for driver in [Driver::Threads, Driver::Serial] {
-            for n in [2, 4] {
+        for n in [2, 4] {
+            for workers in [1, 2, n as usize] {
                 assert_eq!(
-                    run_sharded(n, 4, 37, SimTime::MAX, driver),
+                    run_sharded(n, 4, 37, &[SimTime::MAX], workers),
                     want,
-                    "{n} shards diverged under {driver:?}"
+                    "{n} shards diverged on {workers} workers"
                 );
             }
         }
@@ -844,11 +766,31 @@ mod tests {
     #[test]
     fn finite_deadline_cuts_identically() {
         let cut = SimTime::from_nanos(1 + 10 * LAT + 3);
-        let want = run_sharded(1, 4, 37, cut, Driver::Threads);
+        let want = run_sharded(1, 4, 37, &[cut], 1);
         assert_eq!(want.len(), 11, "10 hops + initial fire by the cut");
-        for driver in [Driver::Threads, Driver::Serial] {
-            assert_eq!(run_sharded(2, 4, 37, cut, driver), want);
-            assert_eq!(run_sharded(4, 4, 37, cut, driver), want);
+        // Resuming after the cut must pick up the mail the final epoch
+        // left in flight: a cut run continued to quiescence equals an
+        // uncut one.
+        let whole = run_sharded(1, 4, 37, &[SimTime::MAX], 1);
+        for n in [2, 4] {
+            for workers in [1, 2, n as usize] {
+                assert_eq!(run_sharded(n, 4, 37, &[cut], workers), want);
+                assert_eq!(run_sharded(n, 4, 37, &[cut, SimTime::MAX], workers), whole);
+            }
+        }
+    }
+
+    #[test]
+    fn uneven_groups_match_the_oracle() {
+        // 3 shards over 2 workers: groups of 2 and 1, so the run carries
+        // mail inside a worker's group and mail across workers. With one
+        // host per shard every pass crosses shards, so the cut's final
+        // epoch also leaves mail for the executor to deliver.
+        let cut = SimTime::from_nanos(1 + 13 * LAT + 7);
+        for hosts in [6, 3] {
+            for legs in [&[SimTime::MAX][..], &[cut], &[cut, SimTime::MAX]] {
+                assert_eq!(run_sharded(3, hosts, 41, legs, 2), run_sharded(1, hosts, 41, legs, 1));
+            }
         }
     }
 
@@ -858,11 +800,11 @@ mod tests {
         // than this machine has cores must neither livelock nor diverge.
         // (On a 1-core box this is the worst case: every barrier crossing
         // relies on the yield fallback.)
-        let want = run_sharded(1, 8, 64, SimTime::MAX, Driver::Serial);
-        assert_eq!(run_sharded(8, 8, 64, SimTime::MAX, Driver::Threads), want);
+        let want = run_sharded(1, 8, 64, &[SimTime::MAX], 1);
+        assert_eq!(run_sharded(8, 8, 64, &[SimTime::MAX], 8), want);
         let cut = SimTime::from_nanos(1 + 20 * LAT);
-        let want = run_sharded(1, 8, 64, cut, Driver::Serial);
-        assert_eq!(run_sharded(8, 8, 64, cut, Driver::Threads), want);
+        let want = run_sharded(1, 8, 64, &[cut], 1);
+        assert_eq!(run_sharded(8, 8, 64, &[cut], 8), want);
     }
 
     #[test]
@@ -983,7 +925,7 @@ mod tests {
             })
             .collect();
         let look = PairLookahead::uniform(2, SimDuration::from_nanos(LAT));
-        run_conservative_with(&mut shards, &look, SimTime::MAX, Driver::Threads);
+        run_conservative(&mut shards, &look, SimTime::MAX, 2);
         let receiver = shards.pop().unwrap().into_inner();
         assert_eq!(receiver.world.received.len(), 1);
         let got = &receiver.world.received[0];

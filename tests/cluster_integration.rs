@@ -411,6 +411,7 @@ fn audit_catches_double_delivery() {
     cfg.nic.max_retx_before_unbind = 1; // churn channels hard
     cfg.drop_prob = 0.30; // lose enough acks to force rebinds
     cfg.telemetry = true; // the report carries the span-log tail
+    cfg.audit = true; // force the hooks on in release builds too
     let mut c = Cluster::new(cfg);
     c.telemetry().set_debug_audit(false); // we *expect* violations; inspect manually
     let a = c.create_endpoint(HostId(0));

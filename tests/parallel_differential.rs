@@ -529,8 +529,9 @@ fn run_mixed(seed: u64, shards: u32) -> MixedOutcome {
 
 /// Satellite: mixed-fidelity determinism. A fixed-seed 4-full +
 /// 12-abstract world must be byte-identical across shard counts 1/2/4 —
-/// and, through the CI matrix's `VNET_PAR_DRIVER` axis, under both epoch
-/// drivers (this test, like the whole suite, runs once per driver there).
+/// and, through the CI matrix's `taskset` row, with those shards stepped
+/// in groups on two cores (this test, like the whole suite, runs once per
+/// row there).
 #[test]
 fn mixed_fidelity_matches_sequential() {
     for &seed in &[7u64, 0xBEEF] {
@@ -667,8 +668,8 @@ fn run_open_loop(seed: u64, shards: u32) -> OpenLoopOutcome {
 /// Satellite: open-loop workload determinism. A fixed-seed 32-host
 /// open-loop fleet must produce byte-identical metrics — every abstract
 /// counter and every latency-histogram bucket — at 1, 2, and 4 shards,
-/// and (through the CI matrix's `VNET_PAR_DRIVER` axis) under both epoch
-/// drivers.
+/// and (through the CI matrix's `taskset` row) with those shards stepped
+/// in groups on two cores.
 #[test]
 fn open_loop_matches_sequential() {
     for &seed in &[7u64, 0xF1EE7] {
