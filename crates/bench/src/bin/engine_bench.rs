@@ -29,15 +29,13 @@
 //! Results print as tables and are written to `BENCH_engine.json` at the
 //! repo root (schema 5). Flags: `--quick` shrinks every workload for CI
 //! smoke runs; `--shards <n>` pins the executor for the non-scaling
-//! workloads; `--fidelity <spec>` sets the preset fidelity default for
-//! workloads that don't pin their own (grammar of `VNET_FIDELITY`);
-//! `--check` additionally compares the freshly measured wheel-vs-heap
-//! speedup against the committed `BENCH_engine.json` and exits non-zero
-//! on a >25% regression (a machine-neutral ratio, unlike absolute
-//! events/s), gates the telemetry-overhead confidence interval, requires
-//! the mixed-fidelity bulk-128 row to beat the all-full row in events/s,
-//! and — on machines with enough cores — fails if 4-shard bulk-128 is
-//! not faster than sequential.
+//! workloads; `--check` additionally compares the freshly measured
+//! wheel-vs-heap speedup against the committed `BENCH_engine.json` and
+//! exits non-zero on a >25% regression (a machine-neutral ratio, unlike
+//! absolute events/s), gates the telemetry-overhead confidence interval,
+//! requires the mixed-fidelity bulk-128 row to beat the all-full row in
+//! events/s, and — on machines with enough cores — fails if 4-shard
+//! bulk-128 is not faster than sequential.
 //!
 //! Scaling rows are only measured where `shards_requested ≤ cores`: with
 //! more shards than cores the executor steps them in groups on shared
@@ -51,7 +49,7 @@
 use std::time::Instant;
 use vnet_apps::bsp::{launch_job, BspApp, BspRunner, SuperStep};
 use vnet_apps::collectives;
-use vnet_bench::{emit_telemetry, f1, f2, init_fidelity_env, quick_mode, with_shards_arg, Table};
+use vnet_bench::{emit_telemetry, f1, f2, quick_mode, with_shards_arg, Table};
 use vnet_core::prelude::*;
 use vnet_sim::telemetry::json::Json;
 use vnet_sim::{Due, RefHeap, SimRng, TimingWheel};
@@ -634,7 +632,6 @@ impl Report {
 }
 
 fn main() {
-    init_fidelity_env();
     let quick = quick_mode();
     let check = std::env::args().any(|a| a == "--check");
     let json_path = repo_root().join("BENCH_engine.json");

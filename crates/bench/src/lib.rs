@@ -138,33 +138,6 @@ pub fn repro_cells(seed: u64, shards: u32) -> Vec<String> {
     vec![format!("{seed:#x}"), shards.to_string()]
 }
 
-/// The fidelity spec passed via `--fidelity <spec>`, if any. The spec
-/// uses the `VNET_FIDELITY` grammar (e.g. `full`, `abstract`,
-/// `abstract:8-127`, `full:0-7;fabric=delay`); see
-/// `vnet_core::FidelityMap::parse`.
-pub fn fidelity_arg() -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == "--fidelity").map(|i| {
-        args.get(i + 1)
-            .unwrap_or_else(|| panic!("--fidelity requires a spec argument"))
-            .clone()
-    })
-}
-
-/// Map `--fidelity <spec>` onto the `VNET_FIDELITY` environment variable
-/// so that every cluster the binary builds picks it up as its preset
-/// default (workloads that pin fidelity explicitly via
-/// `with_fidelity`/builder calls still win — builder > env > default).
-/// Call once at the top of `main`, before any cluster is created. The
-/// spec is validated eagerly so a typo fails here, not deep in a run.
-pub fn init_fidelity_env() {
-    if let Some(spec) = fidelity_arg() {
-        let _ = vnet_core::FidelityMap::parse(&spec)
-            .unwrap_or_else(|e| panic!("--fidelity {spec:?}: {e}"));
-        std::env::set_var("VNET_FIDELITY", spec);
-    }
-}
-
 /// The directory passed via `--telemetry <dir>`, if any. When present,
 /// bench binaries run an instrumented pass and emit telemetry artifacts
 /// there (see [`emit_telemetry`]).

@@ -140,10 +140,7 @@ impl ClusterBuilder {
 
     /// Assign a fidelity class to the listed hosts (see
     /// [`crate::model`]): `Fidelity::Abstract` hosts run the fast LogP
-    /// model, everything else stays `Fidelity::Full`. The first fidelity
-    /// call on a builder starts from full-everywhere and *replaces* any
-    /// `VNET_FIDELITY` environment default (the builder > env > default
-    /// contract in [`crate::config`]); later calls accumulate.
+    /// model, everything else stays `Fidelity::Full`. Calls accumulate.
     pub fn fidelity(mut self, hosts: impl IntoIterator<Item = u32>, f: Fidelity) -> Self {
         self.fidelity.get_or_insert_with(FidelityMap::full).set_hosts(hosts, f);
         self
@@ -263,6 +260,5 @@ mod tests {
         assert_eq!(cfg.fidelity.of(0), Fidelity::Full);
         assert_eq!(cfg.fidelity.of(4), Fidelity::Abstract);
         assert_eq!(cfg.fidelity.fabric(), Fidelity::Abstract);
-        assert!(cfg.fidelity.any_abstract(8));
     }
 }

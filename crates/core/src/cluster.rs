@@ -17,8 +17,7 @@ use vnet_nic::{EpId, Frame, GlobalEp, Nic, NicOut, ProtectionKey};
 use vnet_os::{OsOut, Scheduler, SegmentDriver, Tid};
 use vnet_sim::stats::LogHistogram;
 use vnet_sim::{
-    run_conservative, Auditor, Engine, PairLookahead, ParShard, SendCell, SimDuration, SimRng,
-    SimTime,
+    run_conservative, Auditor, Engine, ParShard, SendCell, SimDuration, SimRng, SimTime,
 };
 
 /// How many of the most recent span-log events a failed audit's report
@@ -87,11 +86,9 @@ pub struct Cluster {
     /// one-shard cluster takes the same executor path (no thread, no
     /// barrier). Every shard engine sits at the same clock between runs.
     shards: Vec<Shard>,
-    /// The stable host partition behind `shards`.
+    /// The stable host partition behind `shards`; its lookahead bounds
+    /// the executor's epochs.
     part: Partition,
-    /// Per-shard-pair lookahead derived from the partition (sliced by
-    /// fault-campaign interval).
-    look: PairLookahead,
     /// Executor worker threads: this machine's core count, read on the
     /// first run with more than one shard (see [`Cluster::run_to`]).
     /// Shards beyond it are stepped in groups; results never depend on it.
@@ -125,11 +122,7 @@ impl Cluster {
     pub fn new(cfg: ClusterConfig) -> Self {
         let topo = Topology::build(cfg.topology.clone());
         let part = Partition::plan(&topo, &cfg.net, cfg.shards);
-        // Compile the fault campaign once; it both becomes engine events
-        // and slices the per-pair lookahead into validity intervals (a
-        // scheduled LinkUp can lower a pair's latency floor).
         let ops = if cfg.faults.is_empty() { Vec::new() } else { cfg.faults.compile(&topo) };
-        let look = part.pair_lookahead(&topo, &cfg.net, &ops);
         // The route oracle is the NICs' read-only view of the *scheduled*
         // campaign (administrative hot-swaps stay invisible to it). Built
         // once, shared by every NIC on every shard.
@@ -146,7 +139,6 @@ impl Cluster {
         let mut c = Cluster {
             shards,
             part,
-            look,
             workers: None,
             key_rng,
             names: NameService::new(),
@@ -649,7 +641,7 @@ impl Cluster {
                 unsafe { SendCell::new(ShardRun { shard, part }) }
             })
             .collect();
-        run_conservative(&mut runs, &self.look, deadline, workers);
+        run_conservative(&mut runs, self.part.lookahead(), deadline, workers);
         drop(runs);
         self.events_processed() - before
     }
@@ -929,11 +921,6 @@ impl Cluster {
     }
 }
 
-/// Convenience: an endpoint id paired with its host for terser test code.
-pub fn local(ep: GlobalEp) -> EpId {
-    ep.ep
-}
-
 /// A process: a host, the endpoints it owns, and its threads — the unit
 /// of teardown (§4.2: "Process termination automatically invokes segment
 /// driver methods to free segments").
@@ -1153,6 +1140,17 @@ mod tests {
         c.run_for(SimDuration::from_micros(10));
         c.shards[1].world.control.as_mut().expect("installed").reconciles += 1;
         c.run_for(SimDuration::from_micros(10));
+    }
+
+    #[test]
+    fn shard_request_beyond_the_executor_cap_clamps_and_runs() {
+        // The executor's publication bitmap holds MAX_SHARDS shards; a
+        // larger request is clamped when the partition is planned rather
+        // than refused by the executor at the first run.
+        let mut c = Cluster::builder().hosts(128).shards(100).build();
+        assert_eq!(c.shards(), vnet_sim::parallel::MAX_SHARDS as u32);
+        c.run_for(SimDuration::from_micros(5));
+        assert_eq!(c.now().as_nanos(), 5_000);
     }
 
     #[test]

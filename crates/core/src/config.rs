@@ -2,25 +2,26 @@
 //!
 //! # Knob precedence
 //!
-//! The two run-shape knobs with an environment variable —
-//! [`ClusterConfig::shards`] and [`ClusterConfig::fidelity`] — resolve the
-//! same way, and this is the one place the contract is written down:
+//! The one run-shape knob with an environment variable,
+//! [`ClusterConfig::shards`], resolves this way, and this is the one
+//! place the contract is written down:
 //!
-//! 1. **builder** — an explicit `with_*` call on `ClusterConfig` (or the
-//!    corresponding [`crate::ClusterBuilder`] method) always wins;
-//! 2. **environment** — otherwise the variable (`VNET_SHARDS`,
-//!    `VNET_FIDELITY`), read when the config preset is constructed;
-//! 3. **default** — otherwise `1` shard, full fidelity everywhere.
+//! 1. **builder** — an explicit [`ClusterConfig::with_shards`] call (or
+//!    [`crate::ClusterBuilder::shards`]) always wins;
+//! 2. **environment** — otherwise `VNET_SHARDS`, read when the config
+//!    preset is constructed;
+//! 3. **default** — otherwise `1` shard.
 //!
+//! [`ClusterConfig::fidelity`] (default: full everywhere),
 //! [`ClusterConfig::audit`] (default: debug builds only) and
 //! [`ClusterConfig::telemetry`] (default: off) have no environment
 //! variable; only the builder changes them.
 //!
 //! The environment is consulted once, inside the preset constructors
-//! ([`ClusterConfig::now`] and friends); a `with_*` call after that
+//! ([`ClusterConfig::now`] and friends); a `with_shards` call after that
 //! replaces the resolved value wholesale. Bench binaries map their
-//! `--shards` / `--fidelity` flags onto the same environment variables
-//! before building, so flags inherit this contract.
+//! `--shards` flag onto the same environment variable before building,
+//! so the flag inherits this contract.
 
 use crate::model::FidelityMap;
 use vnet_net::{FaultScheduleSpec, NetConfig, TopologySpec};
@@ -143,9 +144,8 @@ pub struct ClusterConfig {
     pub shards: u32,
     /// Per-node (and fabric) fidelity selection — which hosts run the
     /// complete machinery and which run the abstract LogP model (see
-    /// [`crate::model`]). Defaults to full everywhere; the
-    /// `VNET_FIDELITY` environment variable overrides the preset default
-    /// (but not an explicit [`ClusterConfig::with_fidelity`]).
+    /// [`crate::model`]). Defaults to full everywhere; set it with
+    /// [`ClusterConfig::with_fidelity`] or the builder.
     pub fidelity: FidelityMap,
 }
 
@@ -175,7 +175,7 @@ impl ClusterConfig {
             audit: cfg!(debug_assertions),
             telemetry: false,
             shards: env_shards().unwrap_or(1),
-            fidelity: env_fidelity().unwrap_or_default(),
+            fidelity: FidelityMap::full(),
         }
     }
 
@@ -229,9 +229,7 @@ impl ClusterConfig {
         self
     }
 
-    /// Builder-style fidelity override. Takes precedence over the
-    /// `VNET_FIDELITY` environment default (see the module docs for the
-    /// knob-precedence contract).
+    /// Builder-style fidelity override.
     pub fn with_fidelity(mut self, fidelity: FidelityMap) -> Self {
         self.fidelity = fidelity;
         self
@@ -246,17 +244,6 @@ impl ClusterConfig {
 /// The `VNET_SHARDS` environment default (None when unset or unparsable).
 pub(crate) fn env_shards() -> Option<u32> {
     env_lookup("VNET_SHARDS")?.trim().parse::<u32>().ok().map(|n| n.max(1))
-}
-
-/// The `VNET_FIDELITY` environment default (None when unset). A set but
-/// malformed value panics — silently running everything at full fidelity
-/// when the user asked for abstraction would be worse.
-pub(crate) fn env_fidelity() -> Option<FidelityMap> {
-    let s = env_lookup("VNET_FIDELITY")?;
-    match FidelityMap::parse(&s) {
-        Ok(m) => Some(m),
-        Err(e) => panic!("VNET_FIDELITY={s:?}: {e}"),
-    }
 }
 
 /// One environment read path for every knob, with a thread-local test
@@ -329,16 +316,11 @@ mod tests {
     }
 
     /// The module-doc precedence contract (builder > env > default),
-    /// asserted for both environment knobs through the thread-local
-    /// environment seam.
+    /// asserted through the thread-local environment seam.
     #[test]
     fn knob_precedence_builder_over_env_over_default() {
-        use crate::model::Fidelity;
-        let knobs = ["VNET_SHARDS", "VNET_FIDELITY"];
         // Defaults (masking anything leaked into the process environment).
-        for k in knobs {
-            test_env::set(k, None);
-        }
+        test_env::set("VNET_SHARDS", None);
         let c = ClusterConfig::now(4);
         assert_eq!(c.shards, 1);
         assert_eq!(c.audit, cfg!(debug_assertions));
@@ -346,17 +328,9 @@ mod tests {
         assert_eq!(c.fidelity, FidelityMap::full());
         // The environment overrides the default...
         test_env::set("VNET_SHARDS", Some("4"));
-        test_env::set("VNET_FIDELITY", Some("abstract:2-3"));
-        let c = ClusterConfig::now(4);
-        assert_eq!(c.shards, 4);
-        assert_eq!(c.fidelity.of(0), Fidelity::Full);
-        assert_eq!(c.fidelity.of(2), Fidelity::Abstract);
+        assert_eq!(ClusterConfig::now(4).shards, 4);
         // ...and an explicit builder-style call beats the environment.
-        let c = ClusterConfig::now(4).with_shards(2).with_fidelity(FidelityMap::full());
-        assert_eq!(c.shards, 2);
-        assert_eq!(c.fidelity, FidelityMap::full());
-        for k in knobs {
-            test_env::clear(k);
-        }
+        assert_eq!(ClusterConfig::now(4).with_shards(2).shards, 2);
+        test_env::clear("VNET_SHARDS");
     }
 }

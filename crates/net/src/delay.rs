@@ -22,7 +22,7 @@
 //!
 //! Because the hop latencies are identical to the full fabric's, any
 //! lookahead bound derived from the topology and [`NetConfig`] (the
-//! parallel executor's per-shard-pair matrix) is sound for both models.
+//! parallel executor's one lookahead) is sound for both models.
 
 use crate::fabric::{LinkStats, NetConfig, Phase1};
 use crate::fault::{DropReason, FaultPlan};

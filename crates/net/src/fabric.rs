@@ -18,9 +18,9 @@ pub struct NetConfig {
     /// when it differs from the edge links — long inter-pod cables, say.
     /// `None` (the default) means trunks run at `hop_latency`, which
     /// preserves every historical timing. The parallel executor's
-    /// per-shard-pair lookahead feeds on this asymmetry: cross-shard
-    /// routes all traverse a trunk, so a slow trunk widens the epoch
-    /// window without touching intra-shard timing.
+    /// lookahead feeds on this asymmetry: cross-shard routes all
+    /// traverse a trunk, so a slow trunk widens the epoch window without
+    /// touching intra-shard timing.
     pub trunk_latency: Option<SimDuration>,
     /// Link-level header bytes charged per packet (route bytes + CRC +
     /// 32-bit timestamp of §5.1).

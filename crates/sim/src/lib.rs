@@ -37,7 +37,7 @@ pub mod wheel;
 pub use audit::{AuditCounters, AuditHandle, Auditor, EpPhase, MsgFate, Violation};
 pub use engine::{Ctx, Engine, EventId, SimWorld};
 pub use fxhash::{fx_map_with_capacity, FxHashMap, FxHashSet, FxHasher};
-pub use parallel::{run_conservative, PairLookahead, ParShard, SendCell, INGRESS_KEY_BIT};
+pub use parallel::{run_conservative, ParShard, SendCell, INGRESS_KEY_BIT};
 pub use telemetry::{
     MetricSet, MetricValue, MetricVisitor, MetricsSnapshot, SpanId, Summary, Telemetry,
     TelemetryHandle,

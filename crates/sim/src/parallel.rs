@@ -3,13 +3,12 @@
 //! This module runs N *shards* — each a self-contained single-threaded
 //! simulation with its own [`TimingWheel`](crate::wheel::TimingWheel) —
 //! on `std::thread::scope` workers, each stepping a contiguous group of
-//! shards, synchronized in epochs bounded by a
-//! **per-shard-pair lookahead** [`PairLookahead`]: `L(j, i)` is the
-//! minimum simulated latency before an action shard `j` takes can be
-//! observed by shard `i`. For the vnet stack that is the minimum
-//! cross-shard ascending-path link latency from any of `j`'s hosts to
-//! any of `i`'s; a packet injected at `t` cannot reach the other
-//! shard's ingress before `t + L(j, i)`.
+//! shards, synchronized in epochs bounded by one **lookahead** `L`: the
+//! minimum simulated latency before an action one shard takes can be
+//! observed by another. For the vnet stack that is the latency of a
+//! cross-shard route's ascending segment, which is the same on every
+//! such route; a packet injected at `t` cannot reach another shard's
+//! ingress before `t + L`.
 //!
 //! ## Epoch protocol
 //!
@@ -23,20 +22,16 @@
 //! of its shards to that shard's own horizon
 //!
 //! ```text
-//! E_i = min_j (Ḃ_j + D(j, i)) − 1
+//! E_i = min(Ḃ_i + 2L, min over j ≠ i of Ḃ_j + L) − 1
 //! ```
 //!
-//! where `D` is the shortest-path closure of `L` over the shard digraph
-//! (including `D(i, i)` = the shortest cycle through `i`, which covers
-//! the echo of a shard's own sends). Any event still unprocessed
-//! anywhere has timestamp `≥ Ḃ_j`, so mail it (transitively) generates
-//! for `i` is stamped `≥ Ḃ_j + D(j, i) > E_i` — always delivered before
-//! the epoch that could observe it. A shard pair joined only by slow
-//! links gets a wide window even while some other pair's fast links
-//! bound their own; with a single uniform latency the horizon
-//! degenerates to the classic `min(B) + L − 1` (and better: a lone busy
-//! shard gets `B + 2L − 1`, the self-echo bound). Publication slots are
-//! double-buffered by epoch parity, so a single barrier per epoch
+//! capped at the deadline. Any event still unprocessed anywhere has
+//! timestamp `≥ Ḃ_j`, so mail it generates for another shard `i` is
+//! stamped `≥ Ḃ_j + L > E_i`, and the earliest echo of `i`'s own sends
+//! returns after a round trip, `≥ Ḃ_i + 2L` — always delivered before
+//! the epoch that could observe it. A lone busy shard therefore gets a
+//! `2L` window, and a run of one shard an open one. Publication slots
+//! are double-buffered by epoch parity, so a single barrier per epoch
 //! suffices. Empty stretches of simulated time cost nothing: the bounds
 //! jump straight to the next event anywhere in the system.
 //!
@@ -98,162 +93,31 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 /// counter can never reach bit 63).
 pub const INGRESS_KEY_BIT: u64 = 1 << 63;
 
-/// Fallback epoch width when a shard digraph has no cycle information at
-/// all (a single shard, or a campaign interval with every cross link
-/// down): ~18 simulated minutes, far beyond any workload's horizon, so
-/// the "epoch" degenerates to one `run_until` per bounds refresh.
+/// The most shards one run may have: the per-epoch publication bitmap
+/// is one `u64`, a bit per shard.
+pub const MAX_SHARDS: usize = 64;
+
+/// The epoch width of a one-shard run: ~18 simulated minutes, far
+/// beyond any workload's horizon, so the "epoch" degenerates to one
+/// `run_until` per bounds refresh.
 const OPEN_HORIZON: u64 = 1 << 40;
 
-/// Per-shard-pair conservative lookahead, closed over relay paths and
-/// sliced by fault-campaign interval.
-///
-/// Built from one or more `n × n` *edge* matrices (`edge[j * n + i]` =
-/// minimum latency of direct mail `j → i` in nanoseconds, `u64::MAX`
-/// when no such mail is possible), each tagged with the simulated time
-/// at which it takes effect. Construction runs a min-plus Floyd–Warshall
-/// per interval, producing the closure `D(j, i)` = cheapest way any
-/// influence can travel from `j` to `i` through any sequence of shards —
-/// including `D(i, i)`, the cheapest *cycle* through `i`.
-///
-/// Campaign intervals exist because a scheduled `LinkUp` can *lower* a
-/// pair's latency floor mid-run; an epoch computed from the wider
-/// pre-transition matrix must therefore never extend past the next
-/// transition instant, which [`PairLookahead::horizon`] enforces.
-#[derive(Clone, Debug)]
-pub struct PairLookahead {
-    n: usize,
-    /// Interval start times in nanoseconds; `starts[0] == 0`.
-    starts: Vec<u64>,
-    /// One closure matrix per interval (`mats[k][j * n + i]`), entries
-    /// saturating at `u64::MAX`, floor-clamped to 1 ns.
-    mats: Vec<Vec<u64>>,
-}
-
-impl PairLookahead {
-    /// A single-interval lookahead with the same latency `l` between
-    /// every ordered pair — the pre-per-pair behavior, used by harness
-    /// tests and as the degenerate plan for uniform topologies.
-    ///
-    /// # Panics
-    /// Panics if `l` is zero (no conservative window exists).
-    pub fn uniform(n: usize, l: SimDuration) -> Self {
-        assert!(l.as_nanos() > 0, "lookahead must be positive");
-        let lns = l.as_nanos();
-        let mut edges = vec![u64::MAX; n * n];
-        for j in 0..n {
-            for i in 0..n {
-                if i != j {
-                    edges[j * n + i] = lns;
-                }
-            }
-        }
-        Self::from_edge_intervals(n, vec![(0, edges)])
-    }
-
-    /// Build from `(start_ns, edge_matrix)` intervals (see type docs).
-    /// Intervals must be sorted by start time with `intervals[0].0 == 0`.
-    ///
-    /// # Panics
-    /// Panics on an empty interval list, a misordered schedule, a matrix
-    /// of the wrong dimension, or a zero edge latency.
-    pub fn from_edge_intervals(n: usize, intervals: Vec<(u64, Vec<u64>)>) -> Self {
-        assert!(n >= 1, "no shards");
-        assert!(!intervals.is_empty(), "no lookahead intervals");
-        assert_eq!(intervals[0].0, 0, "first interval must start at time zero");
-        let mut starts = Vec::with_capacity(intervals.len());
-        let mut mats = Vec::with_capacity(intervals.len());
-        for (start, edges) in intervals {
-            assert!(starts.last().is_none_or(|&p| p < start), "intervals out of order");
-            assert_eq!(edges.len(), n * n, "edge matrix dimension mismatch");
-            assert!(
-                edges.iter().all(|&e| e > 0),
-                "zero-latency cross-shard edge destroys the lookahead bound"
-            );
-            starts.push(start);
-            mats.push(closure(n, edges));
-        }
-        PairLookahead { n, starts, mats }
-    }
-
-    /// Number of shards this plan covers.
-    pub fn shards(&self) -> usize {
-        self.n
-    }
-
-    /// The tightest pair bound in the static (time-zero) matrix — what a
-    /// single global lookahead would have been. Informational.
-    pub fn min_pair(&self) -> Option<SimDuration> {
-        self.mats[0]
-            .iter()
-            .enumerate()
-            .filter(|&(k, _)| k / self.n != k % self.n)
-            .map(|(_, &d)| d)
-            .min()
-            .filter(|&d| d != u64::MAX)
-            .map(SimDuration::from_nanos)
-    }
-
-    /// Index of the interval containing time `t`.
-    fn interval(&self, t: u64) -> usize {
-        self.starts.partition_point(|&s| s <= t) - 1
-    }
-
-    /// Shard `me`'s epoch horizon given the effective bound vector `eff`
-    /// (one entry per shard, `u64::MAX` = idle), clamped to the deadline
-    /// and to the end of the campaign interval the epoch starts in.
-    /// Every worker evaluates this from identical published data, so any
-    /// worker can also evaluate any *other* shard's horizon (the final-
-    /// epoch elision depends on that).
-    pub fn horizon(&self, eff: &[u64], me: usize, deadline_ns: u64) -> u64 {
-        debug_assert_eq!(eff.len(), self.n);
-        let g = eff.iter().copied().min().unwrap_or(u64::MAX);
-        debug_assert_ne!(g, u64::MAX, "horizon of an idle system");
-        let k = self.interval(g);
-        let mat = &self.mats[k];
-        let mut e = u64::MAX;
-        for (j, &b) in eff.iter().enumerate() {
-            e = e.min(b.saturating_add(mat[j * self.n + me]));
-        }
-        // No relay path constrains this shard (single shard, or every
-        // cross link scheduled down): take a huge but finite window so
-        // quiescence detection still loops.
-        if e == u64::MAX {
-            e = g.saturating_add(OPEN_HORIZON);
-        }
-        let mut e = e - 1;
-        if k + 1 < self.starts.len() {
-            // The matrix is only valid up to the next campaign
-            // transition: a LinkUp there may lower latency floors.
-            e = e.min(self.starts[k + 1] - 1);
-        }
-        e.min(deadline_ns)
-    }
-}
-
-/// Min-plus Floyd–Warshall closure with saturating arithmetic. The
-/// diagonal starts unreachable, so `out[i * n + i]` ends as the shortest
-/// cycle through `i`. Entries are floor-clamped to 1 ns so a horizon is
-/// always at least the bound itself.
-fn closure(n: usize, edges: Vec<u64>) -> Vec<u64> {
-    let mut d = edges;
-    for k in 0..n {
-        for i in 0..n {
-            let dik = d[i * n + k];
-            if dik == u64::MAX {
-                continue;
-            }
-            for j in 0..n {
-                let via = dik.saturating_add(d[k * n + j]);
-                if via < d[i * n + j] {
-                    d[i * n + j] = via;
-                }
-            }
-        }
-    }
-    for v in d.iter_mut() {
-        *v = (*v).max(1);
-    }
-    d
+/// Shard `me`'s epoch horizon (see the module docs) given the effective
+/// bound vector `eff` (one entry per shard, `u64::MAX` = idle, at least
+/// one busy) and the lookahead `look` in nanoseconds, capped at the
+/// deadline. Every worker evaluates this from identical published data,
+/// so any worker can also evaluate any *other* shard's horizon (the
+/// final-epoch elision depends on that).
+fn horizon(eff: &[u64], me: usize, look: u64, deadline_ns: u64) -> u64 {
+    let e = if eff.len() == 1 {
+        eff[0].saturating_add(OPEN_HORIZON)
+    } else {
+        let echo = look.saturating_mul(2);
+        let hop = |(j, &b): (usize, &u64)| b.saturating_add(if j == me { echo } else { look });
+        eff.iter().enumerate().map(hop).min().expect("no shards")
+    };
+    debug_assert_ne!(e, u64::MAX, "horizon of an idle system");
+    (e - 1).min(deadline_ns)
 }
 
 /// One shard of a partitioned simulation, as seen by the executor.
@@ -413,8 +277,10 @@ impl<M> Mailboxes<M> {
 
 /// Run `shards` to `deadline` (or to quiescence when `deadline` is
 /// [`SimTime::MAX`]) under conservative epoch synchronization with the
-/// given per-pair `lookahead`, on at most `workers` threads counting the
-/// calling one (see the module docs' worker groups). Returns the final
+/// given `lookahead` — a positive lower bound on how long after the
+/// event that sends it any mail is delivered — on at most `workers`
+/// threads counting the calling one (see the module docs' worker
+/// groups). At most [`MAX_SHARDS`] shards. Returns the final
 /// simulated time: `deadline` when finite, otherwise the timestamp of
 /// the last event processed anywhere. On return every shard's clock is
 /// synchronized to that time and every shard outbox is empty: mail the
@@ -423,14 +289,15 @@ impl<M> Mailboxes<M> {
 /// `(time, key)`, so relaying it on one thread is exact.
 pub fn run_conservative<S: ParShard>(
     shards: &mut [SendCell<S>],
-    lookahead: &PairLookahead,
+    lookahead: SimDuration,
     deadline: SimTime,
     workers: usize,
 ) -> SimTime {
     let n = shards.len();
     assert!(n > 0, "no shards");
-    assert!(n <= 64, "publication bitmap caps the executor at 64 shards");
-    assert_eq!(lookahead.shards(), n, "lookahead planned for a different shard count");
+    assert!(n <= MAX_SHARDS, "publication bitmap caps the executor at {MAX_SHARDS} shards");
+    assert!(lookahead > SimDuration::ZERO, "lookahead must be positive");
+    let look = lookahead.as_nanos();
     let entry_now = shards.iter().map(|c| c.get().now()).max().unwrap();
 
     let per = n.div_ceil(workers.clamp(1, n));
@@ -444,12 +311,10 @@ pub fn run_conservative<S: ParShard>(
         let (last, own) = groups.next_back().expect("no shards");
         let spawned: Vec<_> = groups
             .map(|(g, cells)| {
-                scope.spawn(move || {
-                    worker_loop(g * per, cells, boxes, barrier, lookahead, deadline)
-                })
+                scope.spawn(move || worker_loop(g * per, cells, boxes, barrier, look, deadline))
             })
             .collect();
-        worker_loop(last * per, own, boxes, barrier, lookahead, deadline);
+        worker_loop(last * per, own, boxes, barrier, look, deadline);
         for w in spawned {
             w.join().expect("shard worker panicked");
         }
@@ -492,7 +357,7 @@ fn worker_loop<S: ParShard>(
     cells: &mut [SendCell<S>],
     boxes: &Mailboxes<S::Mail>,
     barrier: &SpinBarrier,
-    look: &PairLookahead,
+    look: u64,
     deadline: SimTime,
 ) {
     let n = boxes.n;
@@ -514,8 +379,7 @@ fn worker_loop<S: ParShard>(
         // mail with its per-destination delivery minima. In-flight mail
         // counts toward its *receiver's* effective bound — it is
         // delivered (and ingested) this very epoch, so accounting it
-        // there is exact and lets the per-pair horizon argument go
-        // through.
+        // there is exact and lets the horizon argument go through.
         let mut bits = 0u64;
         for ((me, cell), outbox) in mine.clone().zip(cells.iter()).zip(&mut outboxes) {
             let wheel = cell.get().next_at_bound().map_or(u64::MAX, |t| t.as_nanos());
@@ -589,7 +453,7 @@ fn worker_loop<S: ParShard>(
             }
             return;
         }
-        if (0..n).all(|i| look.horizon(&eff, i, deadline_ns) >= deadline_ns) {
+        if (0..n).all(|i| horizon(&eff, i, look, deadline_ns) >= deadline_ns) {
             // Final-epoch elision: every shard's horizon reaches the
             // deadline (never true for an infinite one: horizons stay
             // below `u64::MAX`), so after this window there is nothing
@@ -607,7 +471,7 @@ fn worker_loop<S: ParShard>(
             // Horizons are monotone in practice but the published bounds
             // are only *lower* bounds; never ask the wheel to run
             // backwards.
-            let end = SimTime::from_nanos(look.horizon(&eff, me, deadline_ns)).max(shard.now());
+            let end = SimTime::from_nanos(horizon(&eff, me, look, deadline_ns)).max(shard.now());
             shard.run_until(end);
             shard.drain_outbox(outbox);
         }
@@ -731,9 +595,8 @@ mod tests {
                 unsafe { SendCell::new(sh) }
             })
             .collect();
-        let look = PairLookahead::uniform(n_shards as usize, SimDuration::from_nanos(LAT));
         for &deadline in legs {
-            run_conservative(&mut shards, &look, deadline, workers);
+            run_conservative(&mut shards, SimDuration::from_nanos(LAT), deadline, workers);
             for (s, c) in shards.iter().enumerate() {
                 assert!(
                     c.get().world.outbox.is_empty(),
@@ -808,55 +671,24 @@ mod tests {
     }
 
     #[test]
-    fn uniform_closure_degenerates_to_global_min_plus_echo() {
-        let l = PairLookahead::uniform(3, SimDuration::from_nanos(100));
-        // Direct pairs keep the edge latency; the self-cycle is the
-        // round trip, which is what widens a lone busy shard's window.
-        let eff = [500, u64::MAX, u64::MAX];
-        assert_eq!(l.horizon(&eff, 1, u64::MAX), 500 + 100 - 1);
-        assert_eq!(l.horizon(&eff, 0, u64::MAX), 500 + 200 - 1, "self-echo doubles the window");
-        assert_eq!(l.min_pair(), Some(SimDuration::from_nanos(100)));
-    }
-
-    #[test]
-    fn asymmetric_closure_relays_through_the_fast_path() {
-        // 0 -> 1 slow (1000), 1 -> 2 fast (10), 0 -> 2 direct (2000):
-        // the closure must take the relay 0 -> 1 -> 2 = 1010.
-        let mut edges = vec![u64::MAX; 9];
-        edges[1] = 1000; // 0 -> 1
-        edges[5] = 10; // 1 -> 2
-        edges[2] = 2000; // 0 -> 2
-        edges[3] = 50; // 1 -> 0
-        edges[7] = 300; // 2 -> 1
-        edges[6] = 400; // 2 -> 0
-        let l = PairLookahead::from_edge_intervals(3, vec![(0, edges)]);
-        let eff = [100, u64::MAX, u64::MAX];
-        assert_eq!(l.horizon(&eff, 2, u64::MAX), 100 + 1010 - 1);
-        // Shard 1 is bounded by the direct slow edge.
-        assert_eq!(l.horizon(&eff, 1, u64::MAX), 100 + 1000 - 1);
-        // Shard 0's own echo: 0 -> 1 -> 0 = 1050.
-        assert_eq!(l.horizon(&eff, 0, u64::MAX), 100 + 1050 - 1);
-    }
-
-    #[test]
-    fn campaign_interval_caps_the_horizon() {
-        let mk = |lat: u64| {
-            let mut e = vec![u64::MAX; 4];
-            e[1] = lat;
-            e[2] = lat;
-            e
-        };
-        // Wide window until t=10_000, then (post-LinkUp) a tighter one.
-        let l = PairLookahead::from_edge_intervals(2, vec![(0, mk(5_000)), (10_000, mk(100))]);
-        let eff = [8_000, u64::MAX];
-        // Uncapped the horizon would be 8_000 + 10_000 - 1; the interval
-        // boundary must cut it to 9_999.
-        assert_eq!(l.horizon(&eff, 1, u64::MAX), 9_999);
-        // Inside the second interval the tight matrix rules: the direct
-        // 100ns edge bounds shard 1, the 200ns echo bounds shard 0.
-        let eff = [12_000, u64::MAX];
-        assert_eq!(l.horizon(&eff, 1, u64::MAX), 12_000 + 100 - 1);
-        assert_eq!(l.horizon(&eff, 0, u64::MAX), 12_000 + 200 - 1);
+    fn horizon_is_one_hop_from_others_and_a_round_trip_from_itself() {
+        let (l, inf) = (100, u64::MAX);
+        // Another shard's bound reaches shard 1 one hop later; shard 0's
+        // own sends echo back only after a round trip, which is what
+        // widens a lone busy shard's window.
+        let eff = [500, inf, inf];
+        assert_eq!(horizon(&eff, 1, l, inf), 500 + l - 1);
+        assert_eq!(horizon(&eff, 0, l, inf), 500 + 2 * l - 1, "self-echo doubles the window");
+        // Whichever constraint is tighter wins.
+        let eff = [500, 550, inf];
+        assert_eq!(horizon(&eff, 0, l, inf), 550 + l - 1);
+        assert_eq!(horizon(&eff, 1, l, inf), 500 + l - 1);
+        assert_eq!(horizon(&eff, 2, l, inf), 500 + l - 1);
+        // The deadline caps every horizon.
+        assert_eq!(horizon(&eff, 2, l, 520), 520);
+        // A run of one shard has nothing to wait for.
+        assert_eq!(horizon(&[500], 0, l, inf), 500 + OPEN_HORIZON - 1);
+        assert_eq!(horizon(&[500], 0, l, 9_000), 9_000);
     }
 
     #[test]
@@ -924,8 +756,7 @@ mod tests {
                 unsafe { SendCell::new(sh) }
             })
             .collect();
-        let look = PairLookahead::uniform(2, SimDuration::from_nanos(LAT));
-        run_conservative(&mut shards, &look, SimTime::MAX, 2);
+        run_conservative(&mut shards, SimDuration::from_nanos(LAT), SimTime::MAX, 2);
         let receiver = shards.pop().unwrap().into_inner();
         assert_eq!(receiver.world.received.len(), 1);
         let got = &receiver.world.received[0];

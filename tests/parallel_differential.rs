@@ -120,9 +120,9 @@ fn net_counters(c: &Cluster) -> Vec<(String, u64)> {
 struct Scenario {
     topology: TopologySpec,
     /// Leaf↔spine link latency override (`None` = same as `hop_latency`).
-    /// A slow trunk makes the executor's per-shard-pair lookahead matrix
-    /// genuinely asymmetric: inter-leaf pairs get wide windows while any
-    /// intra-leaf traffic stays intra-shard under leaf alignment.
+    /// A slow trunk widens the executor's lookahead: every cross-shard
+    /// route climbs one trunk, while intra-leaf traffic, which never
+    /// climbs one, stays intra-shard under leaf alignment.
     trunk_latency: Option<SimDuration>,
     seed: u64,
     drop_prob: f64,
@@ -570,11 +570,10 @@ fn mixed_fidelity_matches_sequential() {
     }
 }
 
-/// Tentpole: a fat tree whose leaf↔spine trunks are 4x slower than the
-/// host links. The per-shard-pair lookahead matrix is genuinely
-/// asymmetric — every cross-shard path pays `hop + trunk`, so epochs are
-/// much wider than the old global `2 × hop` bound — and results must
-/// stay byte-identical to sequential at every shard count.
+/// A fat tree whose leaf↔spine trunks are 4x slower than the host
+/// links. Every cross-shard path pays `hop + trunk`, so the lookahead
+/// and the epochs are much wider than with uniform links, and results
+/// must stay byte-identical to sequential at every shard count.
 #[test]
 fn asymmetric_trunk_fat_tree_matches_sequential() {
     for &seed in &SEEDS {
@@ -699,10 +698,9 @@ fn open_loop_matches_sequential() {
 }
 
 /// The same slow-trunk tree under the full chaos campaign: scheduled
-/// link flaps and switch failures slice the pair-lookahead matrix into
-/// campaign intervals (a LinkUp can lower a pair's latency floor, so
-/// epochs must not run past a transition), and the replay must still be
-/// byte-identical for every shard count.
+/// link flaps and switch failures remove and restore routes but never
+/// shorten one, so the one lookahead holds through every transition,
+/// and the replay must still be byte-identical for every shard count.
 #[test]
 fn asymmetric_trunk_campaign_matches_sequential() {
     for &seed in &[1u64, 0xBEEF] {
